@@ -30,7 +30,6 @@ crawler::CrawlReport SweepCrawl(double scale, int workers, int machines,
   config.num_workers = workers;
   config.num_twitter_machines = machines;
   config.twitter_apps_per_machine = apps_per_machine;
-  config.store_snapshots = false;
   crawler::Crawler crawler(&web, &dfs, config);
   Status s = crawler.Run();
   CFNET_CHECK(s.ok()) << s.ToString();

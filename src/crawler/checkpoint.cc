@@ -130,26 +130,6 @@ CrawlReport ReportFromJson(const json::Json& o) {
   return r;
 }
 
-json::Json CompanyToJson(const CrawledCompany& c) {
-  json::Json o = json::Json::MakeObject();
-  o.Set("id", static_cast<int64_t>(c.id));
-  o.Set("name", c.name);
-  o.Set("twitter_url", c.twitter_url);
-  o.Set("facebook_url", c.facebook_url);
-  o.Set("crunchbase_url", c.crunchbase_url);
-  return o;
-}
-
-CrawledCompany CompanyFromJson(const json::Json& o) {
-  CrawledCompany c;
-  c.id = static_cast<uint64_t>(o.Get("id").AsInt());
-  c.name = o.Get("name").AsString();
-  c.twitter_url = o.Get("twitter_url").AsString();
-  c.facebook_url = o.Get("facebook_url").AsString();
-  c.crunchbase_url = o.Get("crunchbase_url").AsString();
-  return c;
-}
-
 std::string FileName(int64_t seq) {
   return StrFormat("ckpt-%010lld", static_cast<long long>(seq));
 }
@@ -167,11 +147,6 @@ std::string CheckpointStore::Serialize(const CheckpointState& st) {
   root.Set("user_frontier", IdsToJson(st.user_frontier));
   root.Set("seen_companies", IdsToJson(st.seen_companies));
   root.Set("seen_users", IdsToJson(st.seen_users));
-  json::Json companies = json::Json::MakeArray();
-  for (const CrawledCompany& c : st.companies) {
-    companies.Append(CompanyToJson(c));
-  }
-  root.Set("companies", std::move(companies));
   json::Json tokens = json::Json::MakeArray();
   for (const std::string& t : st.twitter_tokens) tokens.Append(t);
   root.Set("twitter_tokens", std::move(tokens));
@@ -228,9 +203,6 @@ Result<CheckpointState> CheckpointStore::Deserialize(
   st.user_frontier = IdsFromJson(root.Get("user_frontier"));
   st.seen_companies = IdsFromJson(root.Get("seen_companies"));
   st.seen_users = IdsFromJson(root.Get("seen_users"));
-  for (const json::Json& c : root.Get("companies").array()) {
-    st.companies.push_back(CompanyFromJson(c));
-  }
   for (const json::Json& t : root.Get("twitter_tokens").array()) {
     st.twitter_tokens.push_back(t.AsString());
   }

@@ -14,10 +14,10 @@
 
 namespace cfnet::crawler {
 
-/// Everything a crawler needs to continue after a crash: BFS frontier and
-/// seen sets, per-phase progress cursor, token-pool state, worker clocks,
-/// accumulated report counters, and the per-shard snapshot watermarks used
-/// to roll uncheckpointed appends back (exactly-once records).
+/// Cursors, not crawled data: per-phase progress cursor, per-shard snapshot
+/// watermarks (to roll uncheckpointed appends back: exactly-once records),
+/// token pools, worker clocks, report counters, and the BFS frontiers and
+/// seen sets while the BFS runs. The startup shards hold the company list.
 struct CheckpointState {
   int64_t seq = 0;            // stamped by CheckpointStore::Save
   std::string phase;          // phase to run / continue (kPhase* constants)
@@ -27,7 +27,6 @@ struct CheckpointState {
   std::vector<uint64_t> user_frontier;
   std::vector<uint64_t> seen_companies;  // sorted
   std::vector<uint64_t> seen_users;      // sorted
-  std::vector<CrawledCompany> companies;
   std::vector<std::string> twitter_tokens;
   std::string facebook_token;
   std::vector<int64_t> worker_clocks;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <set>
 #include <unordered_map>
 
@@ -30,14 +31,24 @@ size_t PhaseIndex(std::string_view phase) {
   }
   return 0;  // unknown phase in a checkpoint: restart the pipeline safely
 }
+
+/// The augmentation phases' view of a startup profile (fetched or stored).
+CrawledCompany CompanyFromProfile(const json::Json& profile) {
+  CrawledCompany cc;
+  cc.id = static_cast<uint64_t>(profile.Get("id").AsInt());
+  cc.name = profile.Get("name").AsString();
+  cc.twitter_url = profile.Get("twitter_url").AsString();
+  cc.facebook_url = profile.Get("facebook_url").AsString();
+  cc.crunchbase_url = profile.Get("crunchbase_url").AsString();
+  return cc;
+}
 }  // namespace
 
 /// Per-worker state: virtual clock, fetch counters, token rotation state and
 /// snapshot writers. Workers never share mutable state during a stage.
 class Crawler::Shard {
  public:
-  Shard(int worker_id, dfs::MiniDfs* dfs, const CrawlConfig& config)
-      : worker_id_(worker_id), dfs_(dfs), config_(config) {}
+  Shard(int worker_id, dfs::MiniDfs* dfs) : worker_id_(worker_id), dfs_(dfs) {}
 
   int worker_id() const { return worker_id_; }
   int64_t& clock() { return clock_micros_; }
@@ -53,7 +64,6 @@ class Crawler::Shard {
 
   /// Appends a record to `<dir>part-<worker>.jsonl` (lazily opened).
   Status Snapshot(const std::string& dir, const json::Json& record) {
-    if (!config_.store_snapshots) return Status::OK();
     auto it = writers_.find(dir);
     if (it == writers_.end()) {
       auto writer = std::make_unique<dfs::JsonLinesWriter>(
@@ -76,13 +86,13 @@ class Crawler::Shard {
   }
 
   /// Per-stage discovery buffers (merged by the coordinator).
+  std::vector<CrawledCompany> crawled;
   std::vector<uint64_t> found_companies;
   std::vector<uint64_t> found_users;
 
  private:
   int worker_id_;
   dfs::MiniDfs* dfs_;
-  const CrawlConfig& config_;
   int64_t clock_micros_ = 0;
   FetchCounters counters_;
   TokenPool twitter_tokens_;
@@ -97,7 +107,7 @@ Crawler::Crawler(net::SocialWeb* web, dfs::MiniDfs* dfs, CrawlConfig config)
     : web_(web), dfs_(dfs), config_(std::move(config)) {
   config_.num_workers = std::max(1, config_.num_workers);
   for (int w = 0; w < config_.num_workers; ++w) {
-    shards_.push_back(std::make_unique<Shard>(w, dfs_, config_));
+    shards_.push_back(std::make_unique<Shard>(w, dfs_));
   }
   crunchbase_breaker_ = std::make_unique<CircuitBreaker>(config_.breaker);
   facebook_breaker_ = std::make_unique<CircuitBreaker>(config_.breaker);
@@ -235,7 +245,6 @@ Status Crawler::SaveCheckpoint(std::string_view phase, size_t cursor) {
   std::sort(st.seen_companies.begin(), st.seen_companies.end());
   st.seen_users.assign(seen_users_.begin(), seen_users_.end());
   std::sort(st.seen_users.begin(), st.seen_users.end());
-  st.companies = companies_;
   st.twitter_tokens = twitter_tokens_;
   st.facebook_token = facebook_token_;
   for (const auto& shard : shards_) {
@@ -267,11 +276,9 @@ Status Crawler::RestoreFromCheckpoint(const CheckpointState& st) {
   seen_companies_.insert(st.seen_companies.begin(), st.seen_companies.end());
   seen_users_.clear();
   seen_users_.insert(st.seen_users.begin(), st.seen_users.end());
-  companies_ = st.companies;
   company_frontier_ = st.company_frontier;
   user_frontier_ = st.user_frontier;
   bfs_round_ = st.bfs_round;
-  bfs_seeded_ = true;
   twitter_tokens_ = st.twitter_tokens;
   facebook_token_ = st.facebook_token;
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -304,6 +311,29 @@ Status Crawler::RestoreFromCheckpoint(const CheckpointState& st) {
       CFNET_RETURN_IF_ERROR(dfs::TruncateJsonLines(dfs_, path, it->second));
     }
   }
+
+  // The startup shards, now at their watermarks, are the company list. A
+  // shortfall means a lost or quarantined shard: fail rather than shrink it.
+  std::vector<std::string> startup_shards;
+  int64_t want = 0;
+  for (const auto& [path, n] : snapshot_base_counts_) {
+    if (n > 0 && StartsWith(path, StartupSnapshotDir())) {
+      startup_shards.push_back(path);
+      want += n;
+    }
+  }
+  CFNET_ASSIGN_OR_RETURN(auto parts,
+                         dfs::ScanJsonLinesDom(*dfs_, startup_shards));
+  companies_.clear();
+  for (const auto& part : parts) {
+    for (const json::Json& profile : part) {
+      companies_.push_back(CompanyFromProfile(profile));
+    }
+  }
+  if (static_cast<int64_t>(companies_.size()) != want) {
+    return Status::Corruption("startup shards are shorter than the checkpoint");
+  }
+  std::ranges::sort(companies_, {}, &CrawledCompany::id);
   ++report_.checkpoint_restores;
   return Status::OK();
 }
@@ -380,10 +410,9 @@ Status Crawler::RunFrom(size_t phase_idx, size_t cursor) {
 Status Crawler::RunAngelListBfs() {
   net::AngelListService* al = &web_->angellist();
 
-  // Seed: every page of the "currently raising" listing (skipped when a
-  // checkpoint already restored a live frontier).
-  if (!bfs_seeded_) {
-    bfs_seeded_ = true;
+  // Seed: every page of the "currently raising" listing (skipped once a
+  // round has run, e.g. when a checkpoint restored a mid-BFS frontier).
+  if (bfs_round_ == 0) {
     Shard& shard = *shards_[0];
     net::ApiResponse resp = FetchAllPages(
         al,
@@ -406,8 +435,6 @@ Status Crawler::RunAngelListBfs() {
     }
   }
 
-  std::mutex companies_mu;
-
   while (!company_frontier_.empty() || !user_frontier_.empty()) {
     if (config_.max_bfs_rounds > 0 && bfs_round_ >= config_.max_bfs_rounds) {
       break;
@@ -423,16 +450,7 @@ Status Crawler::RunAngelListBfs() {
           nullptr, config_.fetch, &shard.clock(), &shard.counters());
       if (!profile.ok()) return;  // counted via counters.failures on 503s
 
-      CrawledCompany cc;
-      cc.id = cid;
-      cc.name = profile.body.Get("name").AsString();
-      cc.twitter_url = profile.body.Get("twitter_url").AsString();
-      cc.facebook_url = profile.body.Get("facebook_url").AsString();
-      cc.crunchbase_url = profile.body.Get("crunchbase_url").AsString();
-      {
-        std::lock_guard<std::mutex> lock(companies_mu);
-        companies_.push_back(std::move(cc));
-      }
+      shard.crawled.push_back(CompanyFromProfile(profile.body));
       shard.Snapshot(StartupSnapshotDir(), profile.body).ok();
 
       FetchAllPages(
@@ -499,6 +517,8 @@ Status Crawler::RunAngelListBfs() {
     company_frontier_.clear();
     user_frontier_.clear();
     for (auto& shard : shards_) {
+      std::ranges::move(shard->crawled, std::back_inserter(companies_));
+      shard->crawled = std::vector<CrawledCompany>();
       for (uint64_t cid : shard->found_companies) {
         if (seen_companies_.insert(cid).second) {
           company_frontier_.push_back(cid);
@@ -528,11 +548,13 @@ Status Crawler::RunAngelListBfs() {
   report_.bfs_rounds = bfs_round_;
   report_.companies_crawled = static_cast<int64_t>(companies_.size());
   report_.users_crawled = static_cast<int64_t>(seen_users_.size());
-  // Stable order for the augmentation phases.
-  std::sort(companies_.begin(), companies_.end(),
-            [](const CrawledCompany& a, const CrawledCompany& b) {
-              return a.id < b.id;
-            });
+  // Stable order for the augmentation phases; their cursors index into it.
+  std::ranges::sort(companies_, {}, &CrawledCompany::id);
+  // Release the BFS bookkeeping, so later checkpoints carry none of it.
+  seen_companies_ = std::unordered_set<uint64_t>();
+  seen_users_ = std::unordered_set<uint64_t>();
+  company_frontier_ = std::vector<uint64_t>();
+  user_frontier_ = std::vector<uint64_t>();
   return Status::OK();
 }
 
@@ -707,20 +729,13 @@ Crawler::ItemOutcome Crawler::ProcessTwitter(const CrawledCompany& cc,
   return ItemOutcome::kOk;
 }
 
-Status Crawler::RunCrunchBaseAugmentation() {
-  return RunPhase(kPhaseCrunchBase, 0);
-}
-
-Status Crawler::RunFacebookCrawl() { return RunPhase(kPhaseFacebook, 0); }
-
-Status Crawler::RunTwitterCrawl() { return RunPhase(kPhaseTwitter, 0); }
-
 // --- dead-letter replay -----------------------------------------------------
 
 Status Crawler::ReplayDeadLetters() {
-  std::unordered_map<uint64_t, size_t> index;
-  for (size_t i = 0; i < companies_.size(); ++i) {
-    index.emplace(companies_[i].id, i);
+  // The log holds only ids; with no company list to resolve them against,
+  // replay would delete every entry and recover none.
+  if (companies_.empty()) {
+    return Status::FailedPrecondition("replay needs Run() or Resume() first");
   }
   for (std::string_view phase :
        {kPhaseCrunchBase, kPhaseFacebook, kPhaseTwitter}) {
@@ -751,10 +766,9 @@ Status Crawler::ReplayDeadLetters() {
       CFNET_RETURN_IF_ERROR(dfs_->Delete(f));
       snapshot_base_counts_.erase(f);
     }
-    std::vector<size_t> targets;
-    for (uint64_t id : ids) {
-      auto it = index.find(id);
-      if (it != index.end()) targets.push_back(it->second);
+    std::vector<const CrawledCompany*> targets;
+    for (const CrawledCompany& cc : companies_) {
+      if (ids.contains(cc.id)) targets.push_back(&cc);
     }
     // The incident this log accumulated under is presumed over.
     BreakerFor(phase)->Reset();
@@ -762,7 +776,7 @@ Status Crawler::ReplayDeadLetters() {
     std::atomic<int64_t> replayed{0};
     std::atomic<int64_t> re_dead{0};
     RunStriped(targets.size(), [&](size_t i, Shard& shard) {
-      const CrawledCompany& cc = companies_[targets[i]];
+      const CrawledCompany& cc = *targets[i];
       if ((this->*process)(cc, shard) == ItemOutcome::kFailed) {
         DeadLetter(shard, phase, cc.id, "replay-failed").ok();
         re_dead.fetch_add(1, std::memory_order_relaxed);

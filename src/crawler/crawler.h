@@ -42,7 +42,6 @@ struct CrawlConfig {
   FetchPolicy fetch;
   /// DFS directory snapshots are written under.
   std::string snapshot_dir = "/crawl";
-  bool store_snapshots = true;
   /// Safety valve for tests: stop the BFS after this many rounds (0 = run
   /// until the frontier is exhausted, as the paper does).
   int max_bfs_rounds = 0;
@@ -62,12 +61,11 @@ struct CrawlConfig {
   int breaker_trip_budget = 2;
 
   // --- crash-safe checkpointing -------------------------------------------
-  /// Periodically persist crawl state (frontier, seen sets, cursors, token
-  /// pool, snapshot watermarks) to versioned CRC-validated files so
-  /// `Resume()` can continue after a crash without re-fetching done work.
+  /// Periodically persist crawl cursors (see CheckpointState) to versioned
+  /// CRC-validated files so `Resume()` can continue after a crash without
+  /// re-fetching done work.
   bool checkpointing = true;
-  /// Kept outside `snapshot_dir` so disabling snapshots does not disable
-  /// durability metadata.
+  /// Kept outside `snapshot_dir`, whose files a resume rolls back.
   std::string checkpoint_dir = "/checkpoints";
   int checkpoint_every_rounds = 1;  // BFS rounds between checkpoints
   int checkpoint_chunk = 1024;      // augmentation items between checkpoints
@@ -127,7 +125,8 @@ struct CrawlReport {
 };
 
 /// Minimal in-memory record kept per crawled company, feeding the
-/// augmentation phases (everything else lives in the DFS snapshots).
+/// augmentation phases; derived from the startup profile, so a resume
+/// rebuilds it from the startup shards.
 struct CrawledCompany {
   uint64_t id = 0;
   std::string name;
@@ -151,10 +150,11 @@ struct CrawledCompany {
 /// Snapshots are written to MiniDFS as JSON-lines, one directory per
 /// source, sharded per worker.
 ///
-/// Fault tolerance: the crawler checkpoints its full state to MiniDFS at
+/// Fault tolerance: the crawler checkpoints its cursors to MiniDFS at
 /// BFS-round and augmentation-chunk boundaries; `Resume()` restores the
 /// latest CRC-valid checkpoint, truncates snapshot shards back to the
-/// checkpointed watermarks (exactly-once records), and continues. Each
+/// checkpointed watermarks (exactly-once records), rebuilds the company
+/// list from the startup shards that remain, and continues. Each
 /// augmentation source sits behind a circuit breaker; a source that trips
 /// past `breaker_trip_budget` degrades gracefully — its remaining entities
 /// are dead-lettered for later `ReplayDeadLetters()` instead of failing the
@@ -178,20 +178,10 @@ class Crawler {
 
   /// Re-attempts every dead-lettered entity (after the faults that caused
   /// them cleared), removing replayed entries from the log. Safe to call
-  /// repeatedly until the log drains.
+  /// repeatedly until the log drains. Needs `Run()` or `Resume()` first.
   Status ReplayDeadLetters();
 
-  /// Individual phases (Run calls these in order; exposed for tests and
-  /// partial pipelines). RunAngelListBfs must come first.
-  Status RunAngelListBfs();
-  Status RunCrunchBaseAugmentation();
-  Status RunFacebookCrawl();
-  Status RunTwitterCrawl();
-
   const CrawlReport& report() const { return report_; }
-  const std::vector<CrawledCompany>& crawled_companies() const {
-    return companies_;
-  }
 
   /// Snapshot locations (JSON-lines file sets under snapshot_dir).
   std::string StartupSnapshotDir() const { return config_.snapshot_dir + "/angellist/startups/"; }
@@ -231,6 +221,7 @@ class Crawler {
   /// Checkpoints the transition to `next` and fires the crash hook.
   Status AfterPhase(std::string_view completed, std::string_view next);
 
+  Status RunAngelListBfs();
   /// Chunked, breaker-guarded, checkpointed augmentation phase loop.
   Status RunPhase(std::string_view phase, size_t start_cursor);
   ItemOutcome ProcessCrunchBase(const CrawledCompany& cc, Shard& shard);
@@ -254,15 +245,14 @@ class Crawler {
 
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Discovered-entity state (BFS bookkeeping). The frontiers and round
-  // counter live here so checkpoints can capture mid-BFS progress.
+  // BFS bookkeeping, kept here so checkpoints can capture mid-BFS progress
+  // and released when the BFS ends. `companies_` mirrors the startup shards.
   std::unordered_set<uint64_t> seen_companies_;
   std::unordered_set<uint64_t> seen_users_;
   std::vector<CrawledCompany> companies_;
   std::vector<uint64_t> company_frontier_;
   std::vector<uint64_t> user_frontier_;
   int64_t bfs_round_ = 0;
-  bool bfs_seeded_ = false;
 
   // Tokens.
   std::vector<std::string> twitter_tokens_;

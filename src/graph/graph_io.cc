@@ -48,7 +48,9 @@ Status WriteBipartiteGraph(dfs::MiniDfs* dfs, const std::string& path,
 
 Result<BipartiteGraph> ReadBipartiteGraph(const dfs::MiniDfs& dfs,
                                           const std::string& path) {
-  CFNET_ASSIGN_OR_RETURN(std::string in, dfs.ReadFile(path));
+  Result<std::string> contents = dfs.ReadFile(path);
+  if (!contents.ok()) return contents.status();
+  const std::string& in = *contents;
   if (in.size() < sizeof(kMagic) ||
       std::memcmp(in.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("bad graph file magic: " + path);

@@ -75,7 +75,7 @@ struct ServiceConfig {
   /// Maintenance/outage windows in virtual time: any request whose worker
   /// clock falls inside [begin, end) is answered 503. Crawlers ride these
   /// out with (patient) exponential backoff.
-  std::vector<std::pair<int64_t, int64_t>> outage_windows;
+  std::vector<std::pair<int64_t, int64_t>> outage_windows = {};
 };
 
 /// Aggregate request counters.

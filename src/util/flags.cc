@@ -1,8 +1,10 @@
 #include "util/flags.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <string_view>
+#include <system_error>
 
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace cfnet {
@@ -27,23 +29,40 @@ std::string FlagParser::GetString(const std::string& key,
   return it == flags_.end() ? default_value : it->second;
 }
 
+namespace {
+
+/// Parses the whole value of a present flag; a malformed one aborts.
+template <typename T>
+T GetNumber(const std::map<std::string, std::string>& flags,
+            const std::string& key, T default_value) {
+  auto it = flags.find(key);
+  if (it == flags.end()) return default_value;
+  const std::string& v = it->second;
+  T value{};
+  auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), value);
+  CFNET_CHECK(ec == std::errc() && ptr == v.data() + v.size())
+      << "--" << key << ": malformed value '" << v << "'";
+  return value;
+}
+
+}  // namespace
+
 int64_t FlagParser::GetInt(const std::string& key, int64_t default_value) const {
-  auto it = flags_.find(key);
-  if (it == flags_.end()) return default_value;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return GetNumber(flags_, key, default_value);
 }
 
 double FlagParser::GetDouble(const std::string& key, double default_value) const {
-  auto it = flags_.find(key);
-  if (it == flags_.end()) return default_value;
-  return std::strtod(it->second.c_str(), nullptr);
+  return GetNumber(flags_, key, default_value);
 }
 
 bool FlagParser::GetBool(const std::string& key, bool default_value) const {
   auto it = flags_.find(key);
   if (it == flags_.end()) return default_value;
   const std::string v = ToLower(it->second);
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  CFNET_CHECK(v == "0" || v == "false" || v == "no" || v == "off")
+      << "--" << key << ": malformed value '" << it->second << "'";
+  return false;
 }
 
 }  // namespace cfnet

@@ -8,7 +8,8 @@
 namespace cfnet {
 
 /// Tiny `--key=value` / `--flag` command-line parser for the example and
-/// benchmark binaries. Unrecognized positional arguments are ignored.
+/// benchmark binaries. Unrecognized positional arguments are ignored; a
+/// malformed value aborts (bools: 0/false/no/off or 1/true/yes/on).
 class FlagParser {
  public:
   FlagParser(int argc, char** argv);

@@ -13,7 +13,9 @@
 
 #include "crawler/checkpoint.h"
 #include "crawler/crawler.h"
+#include "dfs/commit.h"
 #include "dfs/jsonl.h"
+#include "json/json.h"
 #include "net/fault_plan.h"
 #include "net/social_web.h"
 #include "synth/world.h"
@@ -87,12 +89,6 @@ CheckpointState SampleState() {
   st.user_frontier = {15, 9};
   st.seen_companies = {1, 3, 4};
   st.seen_users = {9, 15};
-  CrawledCompany cc;
-  cc.id = 3;
-  cc.name = "acme";
-  cc.twitter_url = "https://twitter.com/acme";
-  cc.crunchbase_url = "https://crunchbase.com/organization/acme";
-  st.companies = {cc};
   st.twitter_tokens = {"tok-a", "tok-b"};
   st.facebook_token = "fb-long-lived";
   st.worker_clocks = {100, 250, 90};
@@ -123,10 +119,6 @@ TEST(CheckpointStoreTest, SerializeDeserializeRoundtrip) {
   EXPECT_EQ(back->user_frontier, st.user_frontier);
   EXPECT_EQ(back->seen_companies, st.seen_companies);
   EXPECT_EQ(back->seen_users, st.seen_users);
-  ASSERT_EQ(back->companies.size(), 1u);
-  EXPECT_EQ(back->companies[0].id, 3u);
-  EXPECT_EQ(back->companies[0].name, "acme");
-  EXPECT_EQ(back->companies[0].twitter_url, st.companies[0].twitter_url);
   EXPECT_EQ(back->twitter_tokens, st.twitter_tokens);
   EXPECT_EQ(back->facebook_token, "fb-long-lived");
   EXPECT_EQ(back->worker_clocks, st.worker_clocks);
@@ -280,6 +272,10 @@ TEST(CrawlerResumeTest, KilledMidBfsResumesToUninterruptedResult) {
 }
 
 TEST(CrawlerResumeTest, CrashAfterPhaseSkipsCompletedWorkOnResume) {
+  TestBed clean = MakeTestBed(NoRandomErrors());
+  ASSERT_TRUE(clean.crawler->Run().ok());
+  const CrawlReport& want = clean.crawler->report();
+
   CrawlConfig config;
   config.crash_after_phase = std::string(kPhaseCrunchBase);
   TestBed bed = MakeTestBed(NoRandomErrors(), config);
@@ -287,6 +283,34 @@ TEST(CrawlerResumeTest, CrashAfterPhaseSkipsCompletedWorkOnResume) {
   const int64_t cb_profiles = bed.crawler->report().crunchbase_profiles;
   ASSERT_GT(cb_profiles, 0);
   bed.crawler.reset();
+
+  // The checkpoint holds cursors, not data: no company list (the startup
+  // shards are the company list) and no BFS bookkeeping once the BFS is
+  // over, so its size does not grow with the crawl.
+  {
+    CheckpointStore store(bed.dfs.get(), "/checkpoints");
+    std::vector<std::string> files = store.ListFiles();
+    ASSERT_FALSE(files.empty());
+    auto raw = bed.dfs->ReadFile(files.back());
+    ASSERT_TRUE(raw.ok()) << raw.status();
+    uint64_t payload_len = 0;
+    ASSERT_EQ(dfs::InspectFooter(*raw, &payload_len), dfs::FooterState::kValid);
+    raw->resize(payload_len);
+    // Wire format: one header line, then the payload JSON.
+    auto payload =
+        json::Parse(std::string_view(*raw).substr(raw->find('\n') + 1));
+    ASSERT_TRUE(payload.ok()) << payload.status();
+    EXPECT_FALSE(payload->Has("companies"));
+
+    auto latest = store.LoadLatestValid();
+    ASSERT_TRUE(latest.ok()) << latest.status();
+    EXPECT_EQ(latest->phase, kPhaseFacebook);
+    EXPECT_TRUE(latest->seen_companies.empty());
+    EXPECT_TRUE(latest->seen_users.empty());
+    EXPECT_TRUE(latest->company_frontier.empty());
+    EXPECT_TRUE(latest->user_frontier.empty());
+    EXPECT_LT(CheckpointStore::Serialize(*latest).size(), 16u * 1024);
+  }
 
   const int64_t al_requests = bed.web->angellist().stats().total.load();
   const int64_t cb_requests = bed.web->crunchbase().stats().total.load();
@@ -303,11 +327,45 @@ TEST(CrawlerResumeTest, CrashAfterPhaseSkipsCompletedWorkOnResume) {
   EXPECT_EQ(bed.web->crunchbase().stats().total.load(), cb_requests);
   EXPECT_EQ(report.crunchbase_profiles, cb_profiles);
   EXPECT_EQ(report.checkpoint_restores, 1);
+  // The augmentation phases ran over the full company list, rebuilt from
+  // the startup shards.
   EXPECT_GT(report.facebook_profiles, 0);
   EXPECT_GT(report.twitter_profiles, 0);
+  EXPECT_EQ(report.facebook_profiles, want.facebook_profiles);
+  EXPECT_EQ(report.twitter_profiles, want.twitter_profiles);
   // Checkpoint retention held.
   EXPECT_LE(bed.dfs->List("/checkpoints/").size(),
             static_cast<size_t>(resume_config.checkpoints_to_keep));
+}
+
+// A resume rebuilds the company list from the startup shards, strictly: a
+// shard that is gone or holds fewer records than its watermark fails the
+// resume instead of silently shrinking the list the augmentation phases
+// walk.
+TEST(CrawlerResumeTest, ResumeFailsOnMissingOrShortStartupShard) {
+  for (bool drop_whole_shard : {true, false}) {
+    SCOPED_TRACE(drop_whole_shard ? "missing shard" : "short shard");
+    CrawlConfig config;
+    config.crash_after_phase = std::string(kPhaseCrunchBase);
+    TestBed bed = MakeTestBed(NoRandomErrors(), config);
+    ASSERT_FALSE(bed.crawler->Run().ok());
+    const std::vector<std::string> shards =
+        bed.dfs->List(bed.crawler->StartupSnapshotDir());
+    ASSERT_FALSE(shards.empty());
+    if (drop_whole_shard) {
+      ASSERT_TRUE(bed.dfs->Delete(shards.front()).ok());
+    } else {
+      auto records = dfs::CountJsonLines(*bed.dfs, shards.front());
+      ASSERT_TRUE(records.ok()) << records.status();
+      ASSERT_TRUE(dfs::TruncateJsonLines(bed.dfs.get(), shards.front(),
+                                         *records - 1)
+                      .ok());
+    }
+
+    bed.crawler = std::make_unique<Crawler>(bed.web.get(), bed.dfs.get(),
+                                            CrawlConfig{});
+    EXPECT_FALSE(bed.crawler->Resume().ok());
+  }
 }
 
 }  // namespace

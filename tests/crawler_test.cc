@@ -178,15 +178,6 @@ TEST(CrawlerTest, MoreTokensReduceTwitterMakespan) {
             b.crawler->report().makespan_micros);
 }
 
-TEST(CrawlerTest, SnapshotsCanBeDisabled) {
-  CrawlConfig config;
-  config.store_snapshots = false;
-  TestBed bed = MakeTestBed(0.002, 4, config);
-  ASSERT_TRUE(bed.crawler->Run().ok());
-  EXPECT_TRUE(bed.dfs->List("/crawl/").empty());
-  EXPECT_GT(bed.crawler->report().companies_crawled, 0);
-}
-
 TEST(FetchTest, RetriesTransientErrors) {
   synth::WorldConfig wc;
   wc.scale = 0.002;

@@ -437,6 +437,42 @@ TEST(FaultInjectionCrawlTest, BreakerTripsDegradePhaseAndReplayRecovers) {
   EXPECT_TRUE(bed.dfs->List(bed.crawler->DeadLetterDir(kPhaseCrunchBase)).empty());
 }
 
+// Replay in a new process: a crawler that has neither run nor resumed has no
+// company list to look dead-lettered ids up in, so it must refuse to replay
+// rather than delete the log and checkpoint a company-less "done" state.
+// Resuming first rebuilds the list from the startup shards.
+TEST(FaultInjectionCrawlTest, ReplayOnFreshCrawlerNeedsResume) {
+  TestBed clean = MakeTestBed(NoRandomErrors());
+  ASSERT_TRUE(clean.crawler->Run().ok());
+  const CrawlReport& clean_report = clean.crawler->report();
+  ASSERT_GT(clean_report.crunchbase_profiles, 0);
+
+  TestBed bed = MakeTestBed(NoRandomErrors());
+  net::FaultPlan outage;
+  outage.error_bursts = {{0, 365ll * 24 * 3600 * kSecond, 1.0}};
+  bed.web->crunchbase().set_fault_plan(outage);
+  ASSERT_TRUE(bed.crawler->Run().ok());
+  const std::string log_dir = bed.crawler->DeadLetterDir(kPhaseCrunchBase);
+  const std::vector<std::string> log_files = bed.dfs->List(log_dir);
+  ASSERT_FALSE(log_files.empty());
+  const std::vector<std::string> crawl_files = bed.dfs->List("/crawl/");
+  bed.web->crunchbase().set_fault_plan({});
+
+  bed.crawler = std::make_unique<Crawler>(bed.web.get(), bed.dfs.get(),
+                                          CrawlConfig{});
+  Status refused = bed.crawler->ReplayDeadLetters();
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition) << refused;
+  EXPECT_EQ(bed.dfs->List(log_dir), log_files);
+  EXPECT_EQ(bed.dfs->List("/crawl/"), crawl_files);
+
+  ASSERT_TRUE(bed.crawler->Resume().ok());
+  ASSERT_TRUE(bed.crawler->ReplayDeadLetters().ok());
+  const CrawlReport& replayed = bed.crawler->report();
+  EXPECT_EQ(replayed.crunchbase_profiles, clean_report.crunchbase_profiles);
+  EXPECT_GT(replayed.dead_letters_replayed, 0);
+  EXPECT_TRUE(bed.dfs->List(log_dir).empty());
+}
+
 TEST(FaultInjectionCrawlTest, CrawlStartingInsideOutageWindowCompletes) {
   // AngelList is in a maintenance window when the crawl starts (worker
   // clocks begin at 0, inside [0, 20s)); patient backoff rides it out and

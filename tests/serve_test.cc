@@ -396,6 +396,8 @@ TEST(ServeServiceTest, ShutdownShedsQueuedWork) {
         std::chrono::milliseconds(1));
   };
   std::promise<QueryResponse> p1, p2;
+  std::future<QueryResponse> f1 = p1.get_future();
+  std::future<QueryResponse> f2 = p2.get_future();
   h.service->SubmitAsync(QueryRequest("investors.search", {{"q", "al"}}),
                          [&](QueryResponse r) { p1.set_value(std::move(r)); });
   while (h.service->stats(QueryClass::kSearch).queue_latency.count() == 0) {
@@ -404,11 +406,13 @@ TEST(ServeServiceTest, ShutdownShedsQueuedWork) {
   h.service->SubmitAsync(QueryRequest("investors.search", {{"q", "bo"}}),
                          [&](QueryResponse r) { p2.set_value(std::move(r)); });
   std::thread shutdown([&] { h.service->Shutdown(); });
+  // Shutdown() sheds the queued p2 before it joins the workers. Only then
+  // release the worker held on p1, or it could dequeue and serve p2 first.
+  f2.wait();
   gate.store(true);
   shutdown.join();
-  EXPECT_TRUE(p1.get_future().get().served());
-  EXPECT_EQ(p2.get_future().get().outcome,
-            QueryResponse::Outcome::kShedShutdown);
+  EXPECT_TRUE(f1.get().served());
+  EXPECT_EQ(f2.get().outcome, QueryResponse::Outcome::kShedShutdown);
   // Post-shutdown submissions are shed inline, not lost.
   QueryResponse late =
       h.service->Call(QueryRequest("investors.search", {{"q", "al"}}));

@@ -143,11 +143,14 @@ TEST(AsciiTableTest, PadsShortRows) {
 // --- flags --------------------------------------------------------------------
 
 TEST(FlagParserTest, ParsesKeyValueAndBool) {
-  const char* argv[] = {"prog", "--scale=0.5", "--workers=12", "--verbose",
-                        "positional", "--name=abc"};
-  FlagParser flags(6, const_cast<char**>(argv));
+  const char* argv[] = {"prog",       "--scale=0.5", "--workers=12",
+                        "--verbose",  "positional",  "--name=abc",
+                        "--tiny=1e-3", "--offset=-7"};
+  FlagParser flags(8, const_cast<char**>(argv));
   EXPECT_DOUBLE_EQ(flags.GetDouble("scale", 1.0), 0.5);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("tiny", 1.0), 0.001);
   EXPECT_EQ(flags.GetInt("workers", 1), 12);
+  EXPECT_EQ(flags.GetInt("offset", 0), -7);
   EXPECT_TRUE(flags.GetBool("verbose", false));
   EXPECT_EQ(flags.GetString("name", ""), "abc");
   EXPECT_EQ(flags.GetInt("missing", 99), 99);
@@ -161,6 +164,21 @@ TEST(FlagParserTest, BoolSpellings) {
   EXPECT_FALSE(flags.GetBool("b", true));
   EXPECT_TRUE(flags.GetBool("c", false));
   EXPECT_FALSE(flags.GetBool("d", true));
+}
+
+TEST(FlagParserDeathTest, MalformedValuesAbortNamingTheFlag) {
+  const char* argv[] = {"prog",         "--scale=abc", "--ratio=0.1x",
+                        "--workers=4.5", "--seed=",     "--bare",
+                        "--verbose=maybe"};
+  FlagParser flags(7, const_cast<char**>(argv));
+  EXPECT_DEATH(flags.GetDouble("scale", 1.0), "--scale");
+  EXPECT_DEATH(flags.GetDouble("ratio", 1.0), "--ratio");
+  EXPECT_DEATH(flags.GetInt("workers", 1), "--workers");
+  EXPECT_DEATH(flags.GetInt("seed", 1), "--seed");
+  // A bare flag reads as "true": fine for a bool, not for a number.
+  EXPECT_TRUE(flags.GetBool("bare", false));
+  EXPECT_DEATH(flags.GetInt("bare", 1), "--bare");
+  EXPECT_DEATH(flags.GetBool("verbose", false), "--verbose");
 }
 
 // --- sim clock ------------------------------------------------------------------
