@@ -47,25 +47,14 @@ ExploratoryPlatform::ExploratoryPlatform(const Options& options)
   web_ = std::make_unique<net::SocialWeb>(world_.get());
   dfs_ = std::make_unique<dfs::MiniDfs>(options.dfs);
   crawler::CrawlConfig crawl = options.crawl;
-  const bool auto_advance =
-      options.incremental_epochs && options.auto_advance_epochs;
-  if (options.compact_snapshots || options.epoch_published_hook ||
-      auto_advance) {
+  if (options.compact_snapshots || options.epoch_published_hook) {
     // Fires after every successful crawl/replay flush; the platform outlives
     // the crawler it hands this to. A flush defines a snapshot epoch: once
     // the (optionally compacted) snapshots are durable, the epoch counter
     // advances and any subscriber (the serving tier) is told to rebuild.
-    crawl.post_flush_hook = [this, auto_advance]() -> Status {
+    crawl.post_flush_hook = [this]() -> Status {
       if (options_.compact_snapshots) {
         CFNET_RETURN_IF_ERROR(CompactSnapshots());
-      }
-      if (auto_advance) {
-        // Delta-scan the freshly flushed shards and publish an incremental
-        // epoch; AdvanceEpochLocked bumps the counter and fires the hook.
-        std::lock_guard<std::mutex> lock(epoch_mu_);
-        auto advanced = AdvanceEpochLocked();
-        if (!advanced.ok()) return advanced.status();
-        return Status::OK();
       }
       const uint64_t epoch =
           snapshot_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -111,7 +100,6 @@ Result<dataflow::Dataset<json::Json>> ExploratoryPlatform::LoadSnapshotDataset(
   // JSON-only by contract (columnar files in the directory are skipped).
   dfs::ScanOptions scan;
   scan.pool = &ctx_->pool();
-  scan.salvage = options_.salvage_loads;
   scan.report = &scan_report_;
   CFNET_ASSIGN_OR_RETURN(
       auto parts,
@@ -126,20 +114,13 @@ Result<AnalysisInputs> ExploratoryPlatform::LoadInputs() {
   }
   if (cached_inputs_ != nullptr) return *cached_inputs_;
 
-  const bool salvage = options_.salvage_loads;
-  if (salvage) {
-    // Repair before reading: orphaned temps vanish, bad-footer shards move
-    // under /.quarantine (and out of the List() results below).
-    dfs::RecoveryReport swept =
-        dfs::SweepDir(dfs_.get(), options_.crawl.snapshot_dir);
-    scan_report_.quarantined_paths.insert(scan_report_.quarantined_paths.end(),
-                                          swept.quarantined_paths.begin(),
-                                          swept.quarantined_paths.end());
-  }
   // Each directory loads from its columnar compaction when one is fresh
   // (block-parallel, no JSON parse) and falls back to the JSON shards
   // otherwise — see core/columnar_records.h for the staleness contract.
+  // Loads are strict: a healthy pipeline fails loudly on damage it did not
+  // expect.
   ThreadPool* pool = &ctx_->pool();
+  const bool salvage = false;
   AnalysisInputs inputs;
   CFNET_ASSIGN_OR_RETURN(
       inputs.startups,
@@ -170,11 +151,6 @@ Result<AnalysisInputs> ExploratoryPlatform::LoadInputs() {
 Result<ExploratoryPlatform::EpochAdvanceReport>
 ExploratoryPlatform::AdvanceEpoch() {
   std::lock_guard<std::mutex> lock(epoch_mu_);
-  return AdvanceEpochLocked();
-}
-
-Result<ExploratoryPlatform::EpochAdvanceReport>
-ExploratoryPlatform::AdvanceEpochLocked() {
   EpochAdvanceReport report;
   if (epoch_maintainer_ == nullptr) {
     epoch_maintainer_ =
@@ -194,14 +170,14 @@ ExploratoryPlatform::AdvanceEpochLocked() {
   for (const std::string& path :
        SplitSnapshotFiles(dfs_->List(crawler_->UserSnapshotDir())).json) {
     CFNET_ASSIGN_OR_RETURN(std::string payload,
-                           dfs::ReadCommitted(dfs_.get(), path));
+                           dfs::ReadCommitted(*dfs_, path));
     shards.push_back({path, std::move(payload), /*is_user=*/true});
   }
   for (const std::string& path :
        SplitSnapshotFiles(dfs_->List(crawler_->CrunchBaseSnapshotDir()))
            .json) {
     CFNET_ASSIGN_OR_RETURN(std::string payload,
-                           dfs::ReadCommitted(dfs_.get(), path));
+                           dfs::ReadCommitted(*dfs_, path));
     shards.push_back({path, std::move(payload), /*is_user=*/false});
   }
   report.files_scanned = shards.size();

@@ -261,20 +261,10 @@ Status CheckpointStore::Save(CheckpointState* state) {
 Result<CheckpointState> CheckpointStore::LoadLatestValid() const {
   std::vector<std::string> files = ListFiles();
   for (auto it = files.rbegin(); it != files.rend(); ++it) {
-    auto contents = dfs_->ReadFile(*it);
-    if (!contents.ok()) continue;  // lost replicas: fall back to older
-    // Strip a valid commit footer; a corrupt one disqualifies the file
-    // (fall back to the previous checkpoint, same as a torn payload).
-    uint64_t payload_len = 0;
-    switch (dfs::InspectFooter(*contents, &payload_len)) {
-      case dfs::FooterState::kValid:
-        contents->resize(payload_len);
-        break;
-      case dfs::FooterState::kAbsent:
-        break;  // legacy raw checkpoint: the CFNETCKPT1 header still guards it
-      case dfs::FooterState::kCorrupt:
-        continue;
-    }
+    // Lost replicas or a footer that does not verify disqualify the file:
+    // fall back to the previous checkpoint, same as a torn payload.
+    auto contents = dfs::ReadCommitted(*dfs_, *it);
+    if (!contents.ok()) continue;
     auto state = Deserialize(*contents);
     if (state.ok()) return state;
   }

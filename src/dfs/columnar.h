@@ -387,7 +387,6 @@ struct ColumnarWriteOptions {
   size_t block_rows = 64 * 1024;
   /// Stored in the header; see ColumnarHeader::source_fingerprint.
   uint32_t source_fingerprint = 0;
-  CommitOptions commit;
 };
 
 /// Buffers rows, encodes full blocks eagerly, and commits the whole file
@@ -416,7 +415,7 @@ class ColumnarWriter {
   /// Encodes any buffered tail block and commits the file.
   Status Finish() {
     if (!buffer_.empty()) EncodeBufferedBlock();
-    return CommitFile(dfs_, path_, encoded_, options_.commit);
+    return CommitFile(dfs_, path_, encoded_);
   }
 
   uint64_t rows_added() const { return rows_added_; }
@@ -458,9 +457,9 @@ class ColumnarWriter {
 ///
 /// Flattened partition order equals write order. Strict mode fails on any
 /// damage; salvage mode mirrors the JSON scan contract — footer-verified
-/// files still decode strictly (their bytes are proven intact), while
-/// quarantined/raw files drop CRC-failed blocks (and anything after a broken
-/// frame) into the report instead of failing the scan.
+/// files still decode strictly (their bytes are proven intact), while files
+/// whose footer does not verify drop CRC-failed blocks (and anything after
+/// a broken frame) into the report instead of failing the scan.
 template <typename T>
 Result<std::vector<std::vector<T>>> ScanColumnBlocks(
     const MiniDfs& dfs, const std::vector<std::string>& paths,

@@ -10,6 +10,9 @@
 namespace cfnet::dfs {
 namespace {
 
+/// Tries per commit or read (first attempt included).
+constexpr int kCommitAttempts = 4;
+
 /// Parses exactly `len` hex/decimal digits; returns false on any non-digit.
 bool ParseHex32(std::string_view s, uint32_t* out) {
   uint32_t v = 0;
@@ -39,11 +42,6 @@ bool ParseDec64(std::string_view s, uint64_t* out) {
   return true;
 }
 
-void ChargeDelay(ExponentialBackoff* backoff, const CommitOptions& opts) {
-  int64_t delay = backoff->NextDelayMicros();
-  if (opts.clock_micros != nullptr) *opts.clock_micros += delay;
-}
-
 }  // namespace
 
 std::string MakeCommitFooter(uint32_t payload_crc, uint64_t payload_len) {
@@ -55,13 +53,18 @@ std::string MakeCommitFooter(uint32_t payload_crc, uint64_t payload_len) {
   return std::string(buf, kCommitFooterSize);
 }
 
-FooterState InspectFooter(std::string_view file, uint64_t* payload_len) {
-  if (file.size() < kCommitFooterSize) return FooterState::kAbsent;
+size_t SalvagePayloadSize(std::string_view file) {
+  if (file.size() < kCommitFooterSize) return file.size();
   std::string_view footer = file.substr(file.size() - kCommitFooterSize);
-  if (footer.substr(0, kCommitFooterMagic.size()) != kCommitFooterMagic ||
-      footer[kCommitFooterMagic.size()] != ' ') {
-    return FooterState::kAbsent;
-  }
+  const bool magic =
+      footer.substr(0, kCommitFooterMagic.size()) == kCommitFooterMagic &&
+      footer[kCommitFooterMagic.size()] == ' ';
+  return magic ? file.size() - kCommitFooterSize : file.size();
+}
+
+FooterState InspectFooter(std::string_view file, uint64_t* payload_len) {
+  if (SalvagePayloadSize(file) == file.size()) return FooterState::kCorrupt;
+  std::string_view footer = file.substr(file.size() - kCommitFooterSize);
   // Layout: "CFNETFTR1 " + 8 hex + " " + 20 dec + "\n".
   std::string_view crc_field = footer.substr(kCommitFooterMagic.size() + 1, 8);
   std::string_view len_field = footer.substr(kCommitFooterMagic.size() + 10, 20);
@@ -93,32 +96,28 @@ std::string QuarantinePath(const std::string& path) {
 }
 
 Status CommitFile(MiniDfs* dfs, const std::string& path,
-                  std::string_view payload, const CommitOptions& opts) {
+                  std::string_view payload) {
   const std::string tmp = TempPath(path);
   std::string framed;
   framed.reserve(payload.size() + kCommitFooterSize);
   framed.append(payload.data(), payload.size());
   framed += MakeCommitFooter(Crc32(payload), payload.size());
 
-  ExponentialBackoff backoff(opts.backoff, opts.backoff_seed);
   Status last = Status::Internal("commit never attempted");
-  for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
-    if (attempt > 0) ChargeDelay(&backoff, opts);
+  for (int attempt = 0; attempt < kCommitAttempts; ++attempt) {
     last = dfs->WriteFile(tmp, framed);
     if (!last.ok()) continue;
-    if (opts.verify_after_write) {
-      // The read-back is the only step that catches silent fsync loss and
-      // write-buffer bit flips: the write reported OK, but did the bytes
-      // actually land?
-      auto back = dfs->ReadFile(tmp);
-      if (!back.ok()) {
-        last = back.status();
-        continue;
-      }
-      if (InspectFooter(*back, nullptr) != FooterState::kValid) {
-        last = Status::Corruption("commit verification failed for " + tmp);
-        continue;
-      }
+    // The read-back is the only step that catches silent fsync loss and
+    // write-buffer bit flips: the write reported OK, but did the bytes
+    // actually land?
+    auto back = dfs->ReadFile(tmp);
+    if (!back.ok()) {
+      last = back.status();
+      continue;
+    }
+    if (InspectFooter(*back, nullptr) != FooterState::kValid) {
+      last = Status::Corruption("commit verification failed for " + tmp);
+      continue;
     }
     last = dfs->Rename(tmp, path);
     if (last.ok()) return Status::OK();
@@ -128,44 +127,34 @@ Status CommitFile(MiniDfs* dfs, const std::string& path,
 }
 
 Status CommitAppend(MiniDfs* dfs, const std::string& path,
-                    std::string_view payload, const CommitOptions& opts) {
+                    std::string_view payload) {
   std::string combined;
   if (dfs->Exists(path)) {
-    auto prior = ReadCommitted(dfs, path, opts);
+    auto prior = ReadCommitted(*dfs, path);
     if (!prior.ok()) return prior.status();
     combined = std::move(*prior);
   }
   combined.append(payload.data(), payload.size());
-  return CommitFile(dfs, path, combined, opts);
+  return CommitFile(dfs, path, combined);
 }
 
-Result<std::string> ReadCommitted(MiniDfs* dfs, const std::string& path,
-                                  const CommitOptions& opts) {
-  ExponentialBackoff backoff(opts.backoff, opts.backoff_seed);
+Result<std::string> ReadCommitted(const MiniDfs& dfs, const std::string& path) {
   Status last = Status::Internal("read never attempted");
-  for (int attempt = 0; attempt < opts.max_attempts; ++attempt) {
-    if (attempt > 0) ChargeDelay(&backoff, opts);
-    auto content = dfs->ReadFile(path);
+  for (int attempt = 0; attempt < kCommitAttempts; ++attempt) {
+    auto content = dfs.ReadFile(path);
     if (!content.ok()) {
       last = content.status();
       if (last.code() == StatusCode::kNotFound) return last;
       continue;
     }
     uint64_t payload_len = 0;
-    switch (InspectFooter(*content, &payload_len)) {
-      case FooterState::kValid:
-        content->resize(payload_len);
-        return std::move(*content);
-      case FooterState::kAbsent:
-        // Legacy raw artifact: no end-to-end guarantee, but also no claim
-        // of one — hand back the bytes as stored.
-        return std::move(*content);
-      case FooterState::kCorrupt:
-        // Could be a transient in-flight flip; a retry reads the intact
-        // replicas again.
-        last = Status::Corruption("corrupt commit footer on " + path);
-        continue;
+    if (InspectFooter(*content, &payload_len) == FooterState::kValid) {
+      content->resize(payload_len);
+      return std::move(*content);
     }
+    // Could be a transient short read or in-flight flip; a retry reads the
+    // intact replicas again.
+    last = Status::Corruption("corrupt commit footer on " + path);
   }
   return last;
 }
@@ -187,9 +176,11 @@ RecoveryReport SweepDir(MiniDfs* dfs, const std::string& dir_prefix) {
       if (dfs->Delete(path).ok()) ++report.temp_files_removed;
       continue;
     }
-    auto content = dfs->ReadFile(path);
-    if (!content.ok()) continue;  // unreadable files are the scrubber's job
-    if (InspectFooter(*content, nullptr) == FooterState::kCorrupt) {
+    // Only a verdict that survives ReadCommitted's retries counts: a single
+    // transient read fault must not move a healthy file. Unreadable files
+    // (lost replicas) are the scrubber's job.
+    auto content = ReadCommitted(*dfs, path);
+    if (content.status().code() == StatusCode::kCorruption) {
       if (dfs->Rename(path, QuarantinePath(path)).ok()) {
         ++report.files_quarantined;
         report.quarantined_paths.push_back(QuarantinePath(path));

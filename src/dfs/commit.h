@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "dfs/dfs.h"
-#include "util/backoff.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -24,8 +23,9 @@ namespace cfnet::dfs {
 /// corruption introduced *above* the replication layer (silent fsync loss,
 /// rotten write buffers): block checksums are computed from whatever bytes
 /// the write handed down, so they verify "clean" even when those bytes are
-/// wrong. Readers that find a valid footer get an end-to-end integrity
-/// guarantee; files without one (legacy raw writes) still read back as-is.
+/// wrong. It is the only file format the DFS layer reads or writes: a file
+/// is valid only if its footer verifies, and a file without one (a short
+/// read looks exactly like that) is corrupt.
 
 /// Fixed footer width in bytes.
 inline constexpr size_t kCommitFooterSize = 40;
@@ -48,13 +48,19 @@ std::string MakeCommitFooter(uint32_t payload_crc, uint64_t payload_len);
 /// What the tail of a file looks like to the commit protocol.
 enum class FooterState {
   kValid,    // well-formed footer, CRC and length match the payload
-  kAbsent,   // no footer magic at the expected offset (legacy raw file)
-  kCorrupt,  // footer magic present but CRC/length disagree with the bytes
+  kCorrupt,  // no footer, or one whose CRC/length disagree with the bytes
 };
 
 /// Classifies `file` and, when the footer is valid, stores the payload
 /// length (file size minus footer) in `*payload_len`.
 FooterState InspectFooter(std::string_view file, uint64_t* payload_len);
+
+/// Length of `file` without its trailing footer bytes: the file size minus
+/// kCommitFooterSize when the last kCommitFooterSize bytes start with the
+/// footer magic (whether or not the footer verifies), the file size
+/// otherwise. Salvage decoding of a corrupt file uses this to drop bytes
+/// that are provably metadata and keep everything else.
+size_t SalvagePayloadSize(std::string_view file);
 
 /// `path` + ".tmp" — the uncommitted staging name.
 std::string TempPath(const std::string& path);
@@ -64,46 +70,29 @@ bool IsTempPath(std::string_view path);
 /// aborting the scan that found it.
 std::string QuarantinePath(const std::string& path);
 
-/// Knobs for CommitFile/CommitAppend/ReadCommitted retry behaviour.
-struct CommitOptions {
-  /// Total tries per operation (first attempt included).
-  int max_attempts = 4;
-  /// Delay schedule charged to `clock_micros` between attempts. Retries
-  /// also consume fresh storage op serials, which is what lets a commit
-  /// escape an op-indexed fault window deterministically.
-  BackoffPolicy backoff{/*base_micros=*/10000, /*multiplier=*/2.0,
-                        /*max_micros=*/0, /*jitter=*/0.0};
-  uint64_t backoff_seed = 0;
-  /// Virtual clock the backoff delays accrue to (nullptr = untracked).
-  int64_t* clock_micros = nullptr;
-  /// Read the temp file back and verify its footer before renaming.
-  /// This is what catches silent fsync loss — a write that reports OK but
-  /// persisted a prefix. Leave on unless benchmarking raw commit cost;
-  /// exactly-once recovery relies on it.
-  bool verify_after_write = true;
-};
-
 /// Atomically replaces `path` with `payload` + footer:
 /// write `<path>.tmp` -> verify read-back -> rename over `path`.
-/// On failure the target is never half-written: either the old content
-/// survives intact or the new content is fully committed. Best-effort
-/// deletes the temp on a failed commit.
+/// The read-back is what catches silent fsync loss (a write that reports
+/// OK but persisted a prefix). On failure the target is never half-written:
+/// either the old content survives intact or the new content is fully
+/// committed. Tries four times; every retry issues fresh storage ops, whose
+/// new op serials are what let it escape an op-indexed fault window
+/// deterministically. Best-effort deletes the temp on a failed commit.
 Status CommitFile(MiniDfs* dfs, const std::string& path,
-                  std::string_view payload, const CommitOptions& opts = {});
+                  std::string_view payload);
 
 /// Appends `payload` to the committed content of `path` (creating it when
-/// absent) and re-commits the whole file under a fresh footer. An existing
-/// file without a footer is adopted leniently: its raw bytes become the
-/// prior payload.
+/// absent) and re-commits the whole file under a fresh footer — the one
+/// append primitive. Fails, leaving the file untouched, when the existing
+/// content does not read back verified.
 Status CommitAppend(MiniDfs* dfs, const std::string& path,
-                    std::string_view payload, const CommitOptions& opts = {});
+                    std::string_view payload);
 
-/// Reads `path` and strips/verifies the footer. A valid footer yields the
-/// verified payload; an absent footer yields the raw bytes (legacy files);
-/// a corrupt footer retries the read (in-flight bit flips are transient)
-/// and fails Corruption once attempts are exhausted.
-Result<std::string> ReadCommitted(MiniDfs* dfs, const std::string& path,
-                                  const CommitOptions& opts = {});
+/// Reads `path` and returns its verified payload (footer stripped). A file
+/// whose footer does not verify — missing, torn, or damaged by a transient
+/// short read or bit flip — is read up to four times, then fails
+/// Corruption. NotFound fails at once.
+Result<std::string> ReadCommitted(const MiniDfs& dfs, const std::string& path);
 
 /// What a recovery sweep found and did.
 struct RecoveryReport {
@@ -121,9 +110,9 @@ struct RecoveryReport {
 ///  - orphaned `.tmp` files (a writer died between write and rename) are
 ///    deleted — their rename never happened, so they are invisible to the
 ///    commit history by definition;
-///  - files whose footer is present but corrupt are renamed under
-///    /.quarantine for inspection instead of aborting startup;
-///  - footer-less files are left alone (legacy raw artifacts).
+///  - files that still fail Corruption after ReadCommitted's retries are
+///    renamed under /.quarantine for inspection instead of aborting
+///    startup, so one transient read fault never moves a healthy file.
 /// Logs a one-line summary when anything was repaired.
 RecoveryReport SweepDir(MiniDfs* dfs, const std::string& dir_prefix);
 

@@ -3,33 +3,9 @@
 #include "util/string_util.h"
 
 namespace cfnet::dfs {
-namespace {
-
-/// Reads a file and strips a *valid* commit footer. Footer-less files read
-/// as stored (legacy artifacts); a corrupt footer is a hard error here —
-/// strict readers must not hand back bytes the footer disowns.
-Result<std::string> ReadPayloadStrict(const MiniDfs& dfs,
-                                      const std::string& path) {
-  CFNET_ASSIGN_OR_RETURN(std::string content, dfs.ReadFile(path));
-  uint64_t payload_len = 0;
-  switch (InspectFooter(content, &payload_len)) {
-    case FooterState::kValid:
-      content.resize(payload_len);
-      return content;
-    case FooterState::kAbsent:
-      return content;
-    case FooterState::kCorrupt:
-      break;
-  }
-  return Status::Corruption("corrupt commit footer on " + path);
-}
-
-}  // namespace
 
 void ScanReport::Merge(const ScanReport& other) {
   files_scanned += other.files_scanned;
-  footer_verified_files += other.footer_verified_files;
-  raw_files += other.raw_files;
   bytes_scanned += other.bytes_scanned;
   records_dropped += other.records_dropped;
   quarantined_paths.insert(quarantined_paths.end(),
@@ -44,11 +20,8 @@ void ScanReport::Merge(const ScanReport& other) {
 }
 
 JsonLinesWriter::JsonLinesWriter(MiniDfs* dfs, std::string path,
-                                 size_t flush_bytes, bool durable)
-    : dfs_(dfs),
-      path_(std::move(path)),
-      flush_bytes_(flush_bytes),
-      durable_(durable) {}
+                                 size_t flush_bytes)
+    : dfs_(dfs), path_(std::move(path)), flush_bytes_(flush_bytes) {}
 
 JsonLinesWriter::~JsonLinesWriter() { Flush().ok(); }
 
@@ -62,15 +35,14 @@ Status JsonLinesWriter::Write(const json::Json& record) {
 
 Status JsonLinesWriter::Flush() {
   if (buffer_.empty()) return Status::OK();
-  Status s = durable_ ? CommitAppend(dfs_, path_, buffer_)
-                      : dfs_->Append(path_, buffer_);
+  Status s = CommitAppend(dfs_, path_, buffer_);
   if (s.ok()) buffer_.clear();
   return s;
 }
 
 Result<std::vector<json::Json>> ReadJsonLines(const MiniDfs& dfs,
                                               const std::string& path) {
-  CFNET_ASSIGN_OR_RETURN(std::string content, ReadPayloadStrict(dfs, path));
+  CFNET_ASSIGN_OR_RETURN(std::string content, ReadCommitted(dfs, path));
   std::vector<json::Json> out;
   size_t start = 0;
   size_t line_no = 0;
@@ -93,7 +65,7 @@ Result<std::vector<json::Json>> ReadJsonLines(const MiniDfs& dfs,
 }
 
 Result<int64_t> CountJsonLines(const MiniDfs& dfs, const std::string& path) {
-  CFNET_ASSIGN_OR_RETURN(std::string content, ReadPayloadStrict(dfs, path));
+  CFNET_ASSIGN_OR_RETURN(std::string content, ReadCommitted(dfs, path));
   int64_t records = 0;
   size_t start = 0;
   while (start < content.size()) {
@@ -111,14 +83,7 @@ Result<int64_t> CountJsonLines(const MiniDfs& dfs, const std::string& path) {
 Status TruncateJsonLines(MiniDfs* dfs, const std::string& path,
                          int64_t keep_records) {
   if (keep_records <= 0) return dfs->Delete(path);
-  CFNET_ASSIGN_OR_RETURN(std::string raw, dfs->ReadFile(path));
-  uint64_t payload_len = 0;
-  const FooterState footer = InspectFooter(raw, &payload_len);
-  if (footer == FooterState::kCorrupt) {
-    return Status::Corruption("corrupt commit footer on " + path);
-  }
-  std::string content = std::move(raw);
-  if (footer == FooterState::kValid) content.resize(payload_len);
+  CFNET_ASSIGN_OR_RETURN(std::string content, ReadCommitted(*dfs, path));
   int64_t records = 0;
   size_t start = 0;
   while (start < content.size() && records < keep_records) {
@@ -132,11 +97,7 @@ Status TruncateJsonLines(MiniDfs* dfs, const std::string& path,
   }
   if (start >= content.size()) return Status::OK();  // already short enough
   content.resize(start);
-  // A committed file stays committed: the truncated content gets a fresh
-  // footer so the recovery invariant (every snapshot artifact verifies)
-  // survives the rollback.
-  if (footer == FooterState::kValid) return CommitFile(dfs, path, content);
-  return dfs->WriteFile(path, content);
+  return CommitFile(dfs, path, content);
 }
 
 namespace internal_scan {
@@ -148,32 +109,22 @@ Result<ShardLoad> LoadShardContents(const MiniDfs& dfs,
   load.contents.reserve(paths.size());
   load.lenient.reserve(paths.size());
   for (const std::string& path : paths) {
-    CFNET_ASSIGN_OR_RETURN(std::string content, dfs.ReadFile(path));
-    ++report->files_scanned;
-    uint64_t payload_len = 0;
-    bool lenient = false;
-    switch (InspectFooter(content, &payload_len)) {
-      case FooterState::kValid:
-        content.resize(payload_len);
-        ++report->footer_verified_files;
-        break;
-      case FooterState::kAbsent:
-        // No integrity claim either way. Salvage mode treats the bytes as
-        // suspect (a torn raw write looks exactly like this).
-        ++report->raw_files;
-        lenient = salvage;
-        break;
-      case FooterState::kCorrupt:
-        if (!salvage) {
-          return Status::Corruption("corrupt commit footer on " + path);
-        }
-        // The footer bytes are provably metadata (the magic matched), so
-        // strip them and salvage whatever lines still decode.
-        content.resize(content.size() - kCommitFooterSize);
-        report->quarantined_paths.push_back(path);
-        lenient = true;
-        break;
+    Result<std::string> committed = ReadCommitted(dfs, path);
+    const bool lenient = !committed.ok();
+    std::string content;
+    if (committed.ok()) {
+      content = std::move(committed).value();
+    } else {
+      if (!salvage || committed.status().code() != StatusCode::kCorruption) {
+        return committed.status();
+      }
+      // Salvage whatever lines still decode. Footer-shaped tail bytes are
+      // provably metadata, so they go; everything else is kept.
+      CFNET_ASSIGN_OR_RETURN(content, dfs.ReadFile(path));
+      content.resize(SalvagePayloadSize(content));
+      report->quarantined_paths.push_back(path);
     }
+    ++report->files_scanned;
     report->bytes_scanned += content.size();
     load.contents.push_back(std::move(content));
     load.lenient.push_back(lenient ? 1 : 0);

@@ -20,17 +20,15 @@ namespace cfnet::dfs {
 /// calls when the same report is passed to several scans, so the platform
 /// can surface one aggregate per load.
 struct ScanReport {
+  /// Every scanned file either verified its commit footer or is listed in
+  /// `quarantined_paths`.
   uint64_t files_scanned = 0;
-  /// Files whose commit footer verified — end-to-end integrity guaranteed.
-  uint64_t footer_verified_files = 0;
-  /// Files without a footer (legacy raw artifacts): decoded as stored.
-  uint64_t raw_files = 0;
   uint64_t bytes_scanned = 0;
   /// Salvage-mode lines dropped because they failed to decode (torn tails,
   /// embedded garbage). Zero in strict mode by construction.
   uint64_t records_dropped = 0;
-  /// Bad-footer files encountered (salvage mode decodes them leniently and
-  /// records them here; recovery sweeps move them under /.quarantine).
+  /// Files whose footer did not verify (salvage mode decodes them leniently
+  /// and records them here; recovery sweeps move them under /.quarantine).
   std::vector<std::string> quarantined_paths;
 
   /// --- columnar counters (ScanColumnBlocks) --------------------------------
@@ -57,13 +55,11 @@ struct ScanReport {
 /// platform stores crawled documents in HDFS).
 class JsonLinesWriter {
  public:
-  /// Buffers up to `flush_bytes` before appending to `path`. Durable mode
-  /// (the default) flushes through the atomic commit protocol, so the file
-  /// always carries a verified CRC footer and a crash mid-flush leaves the
-  /// previous committed content intact; `durable = false` keeps the raw
-  /// Append path for benchmarks and scratch output.
-  JsonLinesWriter(MiniDfs* dfs, std::string path, size_t flush_bytes = 1 << 20,
-                  bool durable = true);
+  /// Buffers up to `flush_bytes` before appending to `path`. Every flush
+  /// goes through CommitAppend, so the file always carries a verified CRC
+  /// footer and a crash mid-flush leaves the previous committed content
+  /// intact.
+  JsonLinesWriter(MiniDfs* dfs, std::string path, size_t flush_bytes = 1 << 20);
   ~JsonLinesWriter();
 
   JsonLinesWriter(const JsonLinesWriter&) = delete;
@@ -83,15 +79,14 @@ class JsonLinesWriter {
   MiniDfs* dfs_;
   std::string path_;
   size_t flush_bytes_;
-  bool durable_;
   std::string buffer_;
   size_t records_written_ = 0;
 };
 
-/// Reads every record of a JSON-lines file. A valid commit footer is
-/// verified and stripped; a corrupt one fails Corruption; files without a
-/// footer read as stored. Malformed lines produce an error (the crawler
-/// only writes well-formed lines; corruption means DFS trouble).
+/// Reads every record of a committed JSON-lines file (ReadCommitted: a
+/// footer that does not verify fails Corruption). Malformed lines produce
+/// an error (the crawler only writes well-formed lines; corruption means
+/// DFS trouble).
 Result<std::vector<json::Json>> ReadJsonLines(const MiniDfs& dfs,
                                               const std::string& path);
 
@@ -119,12 +114,11 @@ struct ScanOptions {
   size_t target_partitions = 0;
   /// Ranges are not split below this many bytes.
   size_t min_range_bytes = 64 * 1024;
-  /// Salvage mode: instead of failing the scan, a file with a corrupt
-  /// commit footer or a line that fails to decode is skipped and counted
-  /// in the report. Footer-*verified* files always decode strictly — their
-  /// bytes are proven intact, so a decode failure there is a real bug, not
-  /// storage damage. Strict mode (the default) preserves the historical
-  /// fail-fast behaviour.
+  /// Salvage mode: instead of failing the scan, a file whose footer does
+  /// not verify is decoded leniently (lines that fail to decode are skipped
+  /// and counted in the report). Footer-*verified* files always decode
+  /// strictly — their bytes are proven intact, so a decode failure there is
+  /// a real bug, not storage damage. Strict mode (the default) fails fast.
   bool salvage = false;
   /// When set, scan accounting accumulates here (see ScanReport).
   ScanReport* report = nullptr;
@@ -145,15 +139,17 @@ struct LineRange {
 /// Loaded shard payloads plus per-file decode policy.
 struct ShardLoad {
   std::vector<std::string> contents;  // footer-stripped payloads
-  /// Per-file: true when decode failures drop the line (salvaged raw or
-  /// bad-footer files) instead of failing the scan.
+  /// Per-file: true when decode failures drop the line (salvaged files
+  /// whose footer did not verify) instead of failing the scan.
   std::vector<char> lenient;
 };
 
-/// Reads every shard's contents (whole files; MiniDFS is an in-memory
-/// block store, so this is the only read granularity it offers), verifying
-/// and stripping commit footers. Strict mode fails on a corrupt footer;
-/// salvage mode marks the file lenient and records it in `report`.
+/// Reads every shard's verified payload with ReadCommitted (whole files;
+/// MiniDFS is an in-memory block store, so this is the only read
+/// granularity it offers). Strict mode fails on a footer that does not
+/// verify; salvage mode reads such a file as stored, drops a trailing
+/// footer-shaped tail (SalvagePayloadSize), marks the file lenient and
+/// records it in `report`.
 Result<ShardLoad> LoadShardContents(const MiniDfs& dfs,
                                     const std::vector<std::string>& paths,
                                     bool salvage, ScanReport* report);

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "dfs/commit.h"
 #include "util/string_util.h"
 
 namespace cfnet::graph {
@@ -43,12 +44,12 @@ Status WriteBipartiteGraph(dfs::MiniDfs* dfs, const std::string& path,
     AppendU64(out, nbrs.size());
     for (uint32_t r : nbrs) AppendU64(out, r);
   }
-  return dfs->WriteFile(path, out);
+  return dfs::CommitFile(dfs, path, out);
 }
 
 Result<BipartiteGraph> ReadBipartiteGraph(const dfs::MiniDfs& dfs,
                                           const std::string& path) {
-  Result<std::string> contents = dfs.ReadFile(path);
+  Result<std::string> contents = dfs::ReadCommitted(dfs, path);
   if (!contents.ok()) return contents.status();
   const std::string& in = *contents;
   if (in.size() < sizeof(kMagic) ||

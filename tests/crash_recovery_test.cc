@@ -198,7 +198,7 @@ TEST(CommitProtocolTest, CommitWritesVerifiedFooterAndLeavesNoTemp) {
   EXPECT_EQ(InspectFooter(*raw, &len), FooterState::kValid);
   EXPECT_EQ(len, payload.size());
 
-  auto committed = ReadCommitted(&dfs, "/snap/part-0.jsonl");
+  auto committed = ReadCommitted(dfs, "/snap/part-0.jsonl");
   ASSERT_TRUE(committed.ok());
   EXPECT_EQ(*committed, payload);
   EXPECT_EQ(dfs.List("/snap/").size(), 1u);  // no .tmp residue
@@ -211,13 +211,9 @@ TEST(CommitProtocolTest, CommitRetriesThroughScriptedFaults) {
   plan.torn_writes = {OpOnly(2)};
   plan.silent_loss = {OpOnly(3)};  // only read-back verify can catch this one
   dfs.InstallFaultPlan(plan);
-  int64_t clock = 0;
-  CommitOptions opts;
-  opts.clock_micros = &clock;
-  ASSERT_TRUE(CommitFile(&dfs, "/f", "precious payload", opts).ok());
-  EXPECT_EQ(*ReadCommitted(&dfs, "/f"), "precious payload");
+  ASSERT_TRUE(CommitFile(&dfs, "/f", "precious payload").ok());
+  EXPECT_EQ(*ReadCommitted(dfs, "/f"), "precious payload");
   EXPECT_EQ(dfs.GetStats().storage_faults_injected, 3u);
-  EXPECT_GT(clock, 0);  // retries charged backoff delays to the clock
 }
 
 TEST(CommitProtocolTest, FailedCommitPreservesOldContent) {
@@ -229,23 +225,60 @@ TEST(CommitProtocolTest, FailedCommitPreservesOldContent) {
   EXPECT_FALSE(CommitFile(&dfs, "/f", "version 2").ok());
   dfs.InstallFaultPlan(IoFaultPlan{});
   // The old committed content is untouched and still verifies.
-  EXPECT_EQ(*ReadCommitted(&dfs, "/f"), "version 1");
+  EXPECT_EQ(*ReadCommitted(dfs, "/f"), "version 1");
 }
 
-TEST(CommitProtocolTest, CommitAppendAdoptsLegacyRawFiles) {
+/// A 50-record shard, `{"id":<first>}` .. `{"id":<first + 49>}`.
+std::string Records(int first) {
+  std::string out;
+  for (int i = first; i < first + 50; ++i) {
+    out += "{\"id\":" + std::to_string(i) + "}\n";
+  }
+  return out;
+}
+
+TEST(CommitProtocolTest, ReadCommittedRetriesShortReadsAndBitFlips) {
   MiniDfs dfs;
-  ASSERT_TRUE(dfs.WriteFile("/log", "old line\n").ok());  // raw, no footer
-  ASSERT_TRUE(CommitAppend(&dfs, "/log", "new line\n").ok());
-  EXPECT_EQ(*ReadCommitted(&dfs, "/log"), "old line\nnew line\n");
-  auto raw = dfs.ReadFile("/log");
-  EXPECT_EQ(InspectFooter(*raw, nullptr), FooterState::kValid);
+  ASSERT_TRUE(CommitFile(&dfs, "/f", Records(0)).ok());
+  const uint64_t next_read = dfs.GetStats().read_ops + 1;
+  IoFaultPlan plan;
+  plan.short_reads = {OpOnly(next_read)};
+  plan.read_bit_flips = {OpOnly(next_read + 1)};
+  dfs.InstallFaultPlan(plan);
+  EXPECT_EQ(*ReadCommitted(dfs, "/f"), Records(0));
+  EXPECT_EQ(dfs.GetStats().storage_faults_injected, 2u);
+}
+
+TEST(CommitProtocolTest, FooterlessFileIsCorrupt) {
+  MiniDfs dfs;
+  ASSERT_TRUE(dfs.WriteFile("/log", "old line\n").ok());
+  EXPECT_EQ(ReadCommitted(dfs, "/log").status().code(),
+            StatusCode::kCorruption);
+  // CommitAppend refuses to build on bytes it cannot verify.
+  EXPECT_EQ(CommitAppend(&dfs, "/log", "new line\n").code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(*dfs.ReadFile("/log"), "old line\n");
+}
+
+// A short read of the prior content inside CommitAppend must not be taken
+// for the whole file: the append keeps every committed byte.
+TEST(CommitProtocolTest, CommitAppendSurvivesShortReadOfPriorContent) {
+  MiniDfs dfs;
+  ASSERT_TRUE(CommitFile(&dfs, "/snap/part-0.jsonl", Records(0)).ok());
+  IoFaultPlan plan;
+  plan.short_reads = {OpOnly(dfs.GetStats().read_ops + 1)};
+  dfs.InstallFaultPlan(plan);
+  ASSERT_TRUE(CommitAppend(&dfs, "/snap/part-0.jsonl", Records(50)).ok());
+  EXPECT_EQ(dfs.GetStats().storage_faults_injected, 1u);
+  dfs.InstallFaultPlan(IoFaultPlan{});
+  EXPECT_EQ(*ReadCommitted(dfs, "/snap/part-0.jsonl"),
+            Records(0) + Records(50));
 }
 
 TEST(SweepDirTest, RemovesOrphanedTempsAndQuarantinesBadFooters) {
   MiniDfs dfs;
   ASSERT_TRUE(CommitFile(&dfs, "/data/good.jsonl", "{\"id\":1}\n").ok());
   ASSERT_TRUE(dfs.WriteFile("/data/orphan.jsonl.tmp", "half a commi").ok());
-  ASSERT_TRUE(dfs.WriteFile("/data/legacy.jsonl", "{\"id\":2}\n").ok());
   // A committed file whose payload rotted after the fact: flip one byte.
   ASSERT_TRUE(CommitFile(&dfs, "/data/rotten.jsonl", "{\"id\":3}\n").ok());
   std::string rotten = *dfs.ReadFile("/data/rotten.jsonl");
@@ -258,14 +291,38 @@ TEST(SweepDirTest, RemovesOrphanedTempsAndQuarantinesBadFooters) {
   ASSERT_EQ(report.quarantined_paths.size(), 1u);
   EXPECT_EQ(report.quarantined_paths[0], "/.quarantine/data/rotten.jsonl");
 
-  // Good + legacy survive in place; the rotten bytes are preserved under
+  // The good file survives in place; the rotten bytes are preserved under
   // quarantine for inspection, not destroyed.
   std::vector<std::string> left = dfs.List("/data/");
-  EXPECT_EQ(left, (std::vector<std::string>{"/data/good.jsonl",
-                                            "/data/legacy.jsonl"}));
+  EXPECT_EQ(left, (std::vector<std::string>{"/data/good.jsonl"}));
   EXPECT_TRUE(dfs.Exists("/.quarantine/data/rotten.jsonl"));
   // Idempotent: a second sweep finds nothing.
   EXPECT_TRUE(SweepDir(&dfs, "/data/").clean());
+}
+
+// One transient fault on the sweep's read of a healthy file must not move
+// it: the sweep quarantines only what stays corrupt across retries.
+void ExpectSweepKeepsHealthyFile(
+    std::vector<IoFaultWindow> IoFaultPlan::*fault) {
+  MiniDfs dfs;
+  ASSERT_TRUE(CommitFile(&dfs, "/data/good.jsonl", Records(0)).ok());
+  IoFaultPlan plan;
+  plan.*fault = {OpOnly(dfs.GetStats().read_ops + 1)};
+  dfs.InstallFaultPlan(plan);
+  RecoveryReport report = SweepDir(&dfs, "/data/");
+  EXPECT_EQ(dfs.GetStats().storage_faults_injected, 1u);
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(dfs.List("/data/"),
+            (std::vector<std::string>{"/data/good.jsonl"}));
+  EXPECT_FALSE(dfs.Exists("/.quarantine/data/good.jsonl"));
+}
+
+TEST(SweepDirTest, ReadBitFlipDoesNotQuarantineHealthyFile) {
+  ExpectSweepKeepsHealthyFile(&IoFaultPlan::read_bit_flips);
+}
+
+TEST(SweepDirTest, ShortReadDoesNotQuarantineHealthyFile) {
+  ExpectSweepKeepsHealthyFile(&IoFaultPlan::short_reads);
 }
 
 TEST(DurableWriterTest, FlushCommitsWithFooterAndSurvivesFaultBursts) {
@@ -483,6 +540,35 @@ TEST(CrashRecoverySweepTest, KillAnywhereRecoversExactlyOnce) {
     EXPECT_GT(restarted_from_scratch, 0);
     // And kills tear commits often enough that the sweep GC is exercised.
     EXPECT_GT(total_temps_removed, 0);
+  }
+}
+
+// Transient read faults during a whole crawl: short reads and in-flight bit
+// flips hit reads inside CommitAppend and the commit read-back verify. Every
+// read verifies its footer and retries, so each crawl must finish and land
+// exactly the clean crawl's records.
+TEST(CrashRecoverySweepTest, ReadFaultsLeaveCrawlDigestIdentical) {
+  CrawlConfig config;
+  config.checkpoint_every_rounds = 2;
+  config.checkpoint_chunk = 64;
+  TestBed clean = MakeTestBed(config);
+  ASSERT_TRUE(clean.crawler->Run().ok());
+  const std::map<std::string, uint32_t> want_digests =
+      AllDigests(*clean.dfs, *clean.crawler);
+
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("read-fault plan seed " + std::to_string(seed));
+    TestBed bed = MakeTestBed(config);
+    dfs::IoFaultPlan plan;
+    plan.seed = seed;
+    plan.short_reads = {{1, 0, 0.02}};
+    plan.read_bit_flips = {{1, 0, 0.01}};
+    bed.dfs->InstallFaultPlan(plan);
+    Status ran = bed.crawler->Run();
+    ASSERT_TRUE(ran.ok()) << ran;
+    EXPECT_GT(bed.dfs->GetStats().storage_faults_injected, 0u);
+    bed.dfs->InstallFaultPlan(dfs::IoFaultPlan{});
+    EXPECT_EQ(AllDigests(*bed.dfs, *bed.crawler), want_digests);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dfs/commit.h"
 #include "dfs/jsonl.h"
 #include "util/crc32.h"
 
@@ -63,12 +64,12 @@ TEST(MiniDfsTest, OverwriteReplacesContent) {
   EXPECT_EQ(stats.physical_bytes, 9u);  // 3 bytes x replication 3
 }
 
-TEST(MiniDfsTest, AppendAcrossBlockBoundary) {
+TEST(MiniDfsTest, CommitAppendAcrossBlockBoundary) {
   MiniDfs dfs(SmallConfig());
-  ASSERT_TRUE(dfs.Append("/log", "0123456789").ok());  // creates
-  ASSERT_TRUE(dfs.Append("/log", "abcdefghij").ok());  // crosses 16-byte block
-  ASSERT_TRUE(dfs.Append("/log", "KLMNOP").ok());
-  EXPECT_EQ(*dfs.ReadFile("/log"), "0123456789abcdefghijKLMNOP");
+  ASSERT_TRUE(CommitAppend(&dfs, "/log", "0123456789").ok());  // creates
+  ASSERT_TRUE(CommitAppend(&dfs, "/log", "abcdefghij").ok());  // 16-byte blocks
+  ASSERT_TRUE(CommitAppend(&dfs, "/log", "KLMNOP").ok());
+  EXPECT_EQ(*ReadCommitted(dfs, "/log"), "0123456789abcdefghijKLMNOP");
 }
 
 TEST(MiniDfsTest, DeleteRemovesFileAndFreesBlocks) {
@@ -227,7 +228,7 @@ TEST(JsonlTest, DestructorFlushes) {
 
 TEST(JsonlTest, CorruptLineReported) {
   MiniDfs dfs(SmallConfig());
-  ASSERT_TRUE(dfs.WriteFile("/bad.jsonl", "{\"ok\":1}\nnot json\n").ok());
+  ASSERT_TRUE(CommitFile(&dfs, "/bad.jsonl", "{\"ok\":1}\nnot json\n").ok());
   auto records = ReadJsonLines(dfs, "/bad.jsonl");
   EXPECT_FALSE(records.ok());
   EXPECT_EQ(records.status().code(), StatusCode::kCorruption);

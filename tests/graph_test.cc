@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dfs/commit.h"
 #include "graph/graph_io.h"
 #include "graph/weighted_graph.h"
 
@@ -198,20 +199,21 @@ TEST(GraphIoTest, RejectsCorruptedFiles) {
   BipartiteGraph g = Sample();
   dfs::MiniDfs fs;
   ASSERT_TRUE(WriteBipartiteGraph(&fs, "/g.bin", g).ok());
-  auto content = fs.ReadFile("/g.bin");
+  auto content = dfs::ReadCommitted(fs, "/g.bin");
   ASSERT_TRUE(content.ok());
+  // Payload damage under a valid footer, so the graph parser must catch it.
   // Bad magic.
   std::string bad = *content;
   bad[0] = 'X';
-  ASSERT_TRUE(fs.WriteFile("/bad1.bin", bad).ok());
+  ASSERT_TRUE(dfs::CommitFile(&fs, "/bad1.bin", bad).ok());
   EXPECT_EQ(ReadBipartiteGraph(fs, "/bad1.bin").status().code(),
             StatusCode::kCorruption);
   // Truncation.
-  ASSERT_TRUE(fs.WriteFile("/bad2.bin", content->substr(0, 40)).ok());
+  ASSERT_TRUE(dfs::CommitFile(&fs, "/bad2.bin", content->substr(0, 40)).ok());
   EXPECT_EQ(ReadBipartiteGraph(fs, "/bad2.bin").status().code(),
             StatusCode::kCorruption);
   // Trailing junk.
-  ASSERT_TRUE(fs.WriteFile("/bad3.bin", *content + "junk").ok());
+  ASSERT_TRUE(dfs::CommitFile(&fs, "/bad3.bin", *content + "junk").ok());
   EXPECT_EQ(ReadBipartiteGraph(fs, "/bad3.bin").status().code(),
             StatusCode::kCorruption);
   EXPECT_TRUE(ReadBipartiteGraph(fs, "/missing.bin").status().IsNotFound());

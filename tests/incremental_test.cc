@@ -424,7 +424,6 @@ TEST(PlatformEpochTest, AdvanceEpochBuildsThenAdvancesIncrementally) {
   options.world.scale = 0.002;
   options.world.seed = 11;
   options.crawl.num_workers = 2;
-  options.incremental_epochs = true;
   // The replayed CrunchBase batch is large relative to the user-only
   // baseline; keep the delta path engaged regardless.
   options.epoch_config.full_rebuild_delta_fraction = 1.1;

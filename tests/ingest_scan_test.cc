@@ -9,6 +9,7 @@
 #include "core/platform.h"
 #include "core/records.h"
 #include "dfs/columnar.h"
+#include "dfs/commit.h"
 #include "json/json.h"
 #include "json/reader.h"
 #include "util/thread_pool.h"
@@ -34,9 +35,11 @@ std::vector<json::Json> Flatten(std::vector<std::vector<json::Json>> parts) {
 
 TEST(ScanJsonLinesTest, MatchesReadJsonLinesAcrossShards) {
   MiniDfs dfs;
-  ASSERT_TRUE(dfs.WriteFile("/snap/part-0", "{\"id\":1}\n{\"id\":2}\n").ok());
-  ASSERT_TRUE(dfs.WriteFile("/snap/part-1", "\n{\"id\":3}\n\n{\"id\":4}").ok());
-  ASSERT_TRUE(dfs.WriteFile("/snap/part-2", "").ok());
+  ASSERT_TRUE(
+      dfs::CommitFile(&dfs, "/snap/part-0", "{\"id\":1}\n{\"id\":2}\n").ok());
+  ASSERT_TRUE(
+      dfs::CommitFile(&dfs, "/snap/part-1", "\n{\"id\":3}\n\n{\"id\":4}").ok());
+  ASSERT_TRUE(dfs::CommitFile(&dfs, "/snap/part-2", "").ok());
   const std::vector<std::string> paths = {"/snap/part-0", "/snap/part-1",
                                           "/snap/part-2"};
   std::vector<json::Json> expected;
@@ -60,7 +63,7 @@ TEST(ScanJsonLinesTest, ParallelScanPartitionsAndPreservesOrder) {
     content += "{\"id\":" + std::to_string(i) + "}\n";
     expected_ids.push_back(i);
   }
-  ASSERT_TRUE(dfs.WriteFile("/snap/part-0", content).ok());
+  ASSERT_TRUE(dfs::CommitFile(&dfs, "/snap/part-0", content).ok());
   ThreadPool pool(4);
   ScanOptions options;
   options.pool = &pool;
@@ -78,7 +81,8 @@ TEST(ScanJsonLinesTest, ParallelScanPartitionsAndPreservesOrder) {
 TEST(ScanJsonLinesTest, MalformedLineVerdictMatchesReadJsonLines) {
   MiniDfs dfs;
   ASSERT_TRUE(
-      dfs.WriteFile("/snap/part-0", "{\"id\":1}\n{broken\n{\"id\":2}\n").ok());
+      dfs::CommitFile(&dfs, "/snap/part-0", "{\"id\":1}\n{broken\n{\"id\":2}\n")
+          .ok());
   auto sequential = dfs::ReadJsonLines(dfs, "/snap/part-0");
   ASSERT_FALSE(sequential.ok());
   ScanOptions options;
@@ -97,7 +101,7 @@ TEST(ScanJsonLinesTest, EarliestFailingLineWinsAcrossRanges) {
   content += "{bad-early\n";
   for (int i = 0; i < 50; ++i) content += "{\"id\":" + std::to_string(i) + "}\n";
   content += "{bad-late\n";
-  ASSERT_TRUE(dfs.WriteFile("/snap/part-0", content).ok());
+  ASSERT_TRUE(dfs::CommitFile(&dfs, "/snap/part-0", content).ok());
   ThreadPool pool(4);
   ScanOptions options;
   options.pool = &pool;
@@ -115,7 +119,7 @@ TEST(ScanJsonLinesTest, EmptyInputsYieldOneEmptyPartition) {
   ASSERT_EQ(no_files->size(), 1u);
   EXPECT_TRUE((*no_files)[0].empty());
 
-  ASSERT_TRUE(dfs.WriteFile("/snap/empty", "").ok());
+  ASSERT_TRUE(dfs::CommitFile(&dfs, "/snap/empty", "").ok());
   auto empty_file = dfs::ScanJsonLinesDom(dfs, {"/snap/empty"});
   ASSERT_TRUE(empty_file.ok());
   ASSERT_EQ(empty_file->size(), 1u);
@@ -140,10 +144,13 @@ std::vector<int64_t> ScanIds(const std::vector<std::vector<json::Json>>& parts) 
 
 TEST(ScanSalvageTest, DropsTruncatedFinalLineAndCountsIt) {
   MiniDfs dfs;
-  // A shard whose writer died mid-append: the last line is a torn prefix
-  // ({"id":3 never got its closing brace or newline).
+  // A committed shard torn after the fact: the footer is gone and the last
+  // line is a torn prefix ({"id":3 lost its closing brace and newline).
+  const std::string payload = "{\"id\":1}\n{\"id\":2}\n{\"id\":3}\n";
+  ASSERT_TRUE(dfs::CommitFile(&dfs, "/snap/part-0", payload).ok());
   ASSERT_TRUE(
-      dfs.WriteFile("/snap/part-0", "{\"id\":1}\n{\"id\":2}\n{\"id\":3").ok());
+      dfs.WriteFile("/snap/part-0", payload.substr(0, payload.size() - 2))
+          .ok());
   ScanOptions strict;
   auto failed = dfs::ScanJsonLinesDom(dfs, {"/snap/part-0"}, strict);
   EXPECT_FALSE(failed.ok());
@@ -156,16 +163,24 @@ TEST(ScanSalvageTest, DropsTruncatedFinalLineAndCountsIt) {
   ASSERT_TRUE(scanned.ok()) << scanned.status();
   EXPECT_EQ(ScanIds(*scanned), (std::vector<int64_t>{1, 2}));
   EXPECT_EQ(report.files_scanned, 1u);
-  EXPECT_EQ(report.raw_files, 1u);
   EXPECT_EQ(report.records_dropped, 1u);
-  EXPECT_TRUE(report.quarantined_paths.empty());
+  EXPECT_EQ(report.quarantined_paths,
+            (std::vector<std::string>{"/snap/part-0"}));
 }
 
 TEST(ScanSalvageTest, SkipsLinesWithEmbeddedNulBytes) {
   MiniDfs dfs;
-  std::string content = "{\"id\":1}\n";
-  content += std::string("{\"id\":2,\"name\":\"a\0b\"}", 22);  // NULs inside
-  content += "\n{\"id\":3}\n";
+  // A committed shard whose second line later rotted into NUL-bearing
+  // garbage (the footer no longer verifies).
+  const std::string line2 = "{\"id\":2,\"name\":\"a_b\"}";
+  ASSERT_TRUE(dfs::CommitFile(&dfs, "/snap/part-0",
+                              "{\"id\":1}\n" + line2 + "\n{\"id\":3}\n")
+                  .ok());
+  std::string content = *dfs.ReadFile("/snap/part-0");
+  const size_t at = content.find(line2);
+  ASSERT_NE(at, std::string::npos);
+  content.replace(at, line2.size(),
+                  std::string("{\"id\":2,\"name\":\"a\0b\"}", 22));
   ASSERT_TRUE(dfs.WriteFile("/snap/part-0", content).ok());
   dfs::ScanReport report;
   ScanOptions salvage;
@@ -205,7 +220,6 @@ TEST(ScanSalvageTest, CorruptMiddleBlockQuarantinesInReportOnly) {
   EXPECT_EQ(ids.size() + report.records_dropped, 3u);
   ASSERT_EQ(report.quarantined_paths.size(), 1u);
   EXPECT_EQ(report.quarantined_paths[0], "/snap/part-0");
-  EXPECT_EQ(report.footer_verified_files, 0u);
 }
 
 TEST(ScanSalvageTest, FooterVerifiedFilesAreCountedAndStayStrict) {
@@ -219,7 +233,7 @@ TEST(ScanSalvageTest, FooterVerifiedFilesAreCountedAndStayStrict) {
     }
     ASSERT_TRUE(writer.Flush().ok());
   }
-  ASSERT_TRUE(dfs.WriteFile("/snap/part-1", "{\"id\":5}\n").ok());  // legacy
+  ASSERT_TRUE(dfs::CommitFile(&dfs, "/snap/part-1", "{\"id\":5}\n").ok());
   dfs::ScanReport report;
   ScanOptions salvage;
   salvage.salvage = true;
@@ -229,8 +243,7 @@ TEST(ScanSalvageTest, FooterVerifiedFilesAreCountedAndStayStrict) {
   ASSERT_TRUE(scanned.ok()) << scanned.status();
   EXPECT_EQ(ScanIds(*scanned), (std::vector<int64_t>{1, 2, 3, 4, 5}));
   EXPECT_EQ(report.files_scanned, 2u);
-  EXPECT_EQ(report.footer_verified_files, 1u);
-  EXPECT_EQ(report.raw_files, 1u);
+  EXPECT_TRUE(report.quarantined_paths.empty());
   EXPECT_EQ(report.records_dropped, 0u);
   EXPECT_GT(report.bytes_scanned, 0u);
 }

@@ -123,11 +123,11 @@ TEST_P(DfsModelProperty, MatchesReferenceModel) {
         reference[p] = d;
         break;
       }
-      case 1: {  // append
+      case 1: {  // append: rewrite the file with the concatenation
         std::string p = random_path();
         std::string d = random_data();
-        ASSERT_TRUE(fs.Append(p, d).ok());
         reference[p] += d;
+        ASSERT_TRUE(fs.WriteFile(p, reference[p]).ok());
         break;
       }
       case 2: {  // delete

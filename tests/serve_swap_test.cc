@@ -263,7 +263,6 @@ TEST(ServeSwapTest, IncrementalEpochsPublishUnderQueryLoadWithoutTearing) {
   options.world.scale = 0.002;
   options.world.seed = 11;
   options.crawl.num_workers = 2;
-  options.incremental_epochs = true;
   options.epoch_config.full_rebuild_delta_fraction = 1.1;
   core::ExploratoryPlatform platform(options);
 
