@@ -511,10 +511,10 @@ void RunGraphBench(const FlagParser& flags) {
   }
 
   // ---- SIMD kernels vs scalar fallback (single thread) ------------------
-  // All three families are timed at 1 thread: on the 1-vCPU bench host the
-  // single-thread numbers are the trustworthy signal (multi-thread rows
-  // above measure oversubscription, not scaling). Every comparison checks
-  // byte-identity between the two backends before it is trusted.
+  // All families are timed at 1 thread, so the rows isolate the kernels
+  // from thread scaling (the thread_scaling rows above cover that). Every
+  // comparison checks byte-identity between the two backends before it is
+  // trusted.
   Section("simd kernels vs scalar fallback (1 thread; bit-identity checked)");
   json::Json simd_rows = json::Json::MakeArray();
   auto emit_simd = [&simd_rows](const std::string& name, double scalar_ms,
@@ -530,8 +530,9 @@ void RunGraphBench(const FlagParser& flags) {
                 name.c_str(), scalar_ms, simd_ms, speedup);
   };
 
-  // coda_row_update: the full projected-gradient fit (gather, fused
-  // expm1-weighted gradient, clamped step, Armijo objective) end to end.
+  // coda_row_update: the full projected-gradient fit (gather, batched
+  // DotRowsF64 neighbor dots feeding the expm1-weighted gradient and the
+  // Armijo objective, clamped step) end to end.
   {
     community::CodaConfig coda_config;
     coda_config.num_communities = 32;
@@ -817,8 +818,8 @@ void RunGraphBench(const FlagParser& flags) {
   out_doc.Set("simd", std::move(simd_rows));
   out_doc.Set("simd_note",
               "single-thread scalar-vs-dispatched comparisons; outputs "
-              "checked byte-identical before timing. Single-thread numbers "
-              "are the trustworthy signal on the 1-vCPU bench host.");
+              "checked byte-identical before timing. Thread scaling is "
+              "measured separately in thread_scaling.");
   std::printf("acceptance: shared_sizes %.2fx, louvain %.2fx (target 1.3x)\n",
               shared_speedup, louvain_speedup);
   std::printf("acceptance: incremental 1%% delta epoch %.2fx vs full rebuild "

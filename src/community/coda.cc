@@ -1,6 +1,7 @@
 #include "community/coda.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "util/logging.h"
@@ -12,27 +13,47 @@ namespace cfnet::community {
 namespace {
 
 constexpr double kMinDot = 1e-10;
+/// Cap on a neighbor's gradient weight 1 / expm1(dot) (reached at kMinDot).
+constexpr double kMaxWeight = 1.0 / kMinDot;
+
+/// Rows a worker claims at a time. Contiguous chunks from a shared counter
+/// keep every worker busy on heavy-tailed degrees; the chunk size only
+/// affects scheduling, never results.
+constexpr size_t kRowChunk = 16;
 
 /// Per-worker buffers for one row update, sized once for the maximum degree
 /// on either side so the row loop never reallocates (degree-skewed graphs
 /// used to churn `gather` on every high-degree row). `gather` holds the
-/// neighbor rows copied contiguously (count * c doubles), so the dot-product
-/// kernels stream sequential memory instead of chasing a pointer per
-/// neighbor.
+/// neighbor rows copied contiguously followed by the row's `rest` vector
+/// ((count + 1) * c doubles), so one batched dot call streams sequential
+/// memory instead of chasing a pointer per neighbor; `dots` holds one dot
+/// per gathered row.
 struct RowScratch {
   std::vector<double> gather;
+  std::vector<double> dots;
   std::vector<double> nbr_sum;
-  std::vector<double> rest;
   std::vector<double> grad;
   std::vector<double> candidate;
 
   RowScratch(int c, size_t max_degree)
-      : gather(max_degree * static_cast<size_t>(c)),
+      : gather((max_degree + 1) * static_cast<size_t>(c)),
+        dots(max_degree + 1),
         nbr_sum(static_cast<size_t>(c)),
-        rest(static_cast<size_t>(c)),
         grad(static_cast<size_t>(c)),
         candidate(static_cast<size_t>(c)) {}
 };
+
+/// sum_i log(1 - exp(-max(dots[i], kMinDot))), folded in row order — the
+/// edge term of a row's local objective.
+double SumLogEdgeProb(const double* dots, size_t count) {
+  double sum = 0;
+  for (size_t i = 0; i < count; ++i) {
+    double d = dots[i];
+    if (d < kMinDot) d = kMinDot;
+    sum += std::log1p(-std::exp(-d));
+  }
+  return sum;
+}
 
 }  // namespace
 
@@ -147,20 +168,24 @@ CodaResult Coda::FitFrom(const graph::BipartiteGraph& g, std::vector<double> f,
 
   const double density = static_cast<double>(g.num_edges()) /
                          (static_cast<double>(nl) * static_cast<double>(nr));
-  std::vector<double> sum_f(static_cast<size_t>(c), 0);
-  std::vector<double> sum_h(static_cast<size_t>(c), 0);
-  for (size_t u = 0; u < nl; ++u) {
-    for (int k = 0; k < c; ++k) sum_f[static_cast<size_t>(k)] += f[u * c + k];
-  }
-  for (size_t v = 0; v < nr; ++v) {
-    for (int k = 0; k < c; ++k) sum_h[static_cast<size_t>(k)] += h[v * c + k];
-  }
-
   ThreadPool pool(config_.num_threads > 0
                       ? static_cast<size_t>(config_.num_threads)
                       : ThreadPool::DefaultParallelism());
 
   const size_t cs = static_cast<size_t>(c);
+
+  // Column sums of one side's factor rows, added in row order.
+  auto column_sums = [cs](const std::vector<double>& rows, size_t n,
+                          std::vector<double>* sums) {
+    sums->assign(cs, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      simd::AddF64(sums->data(), &rows[i * cs], cs);
+    }
+  };
+  std::vector<double> sum_f;
+  std::vector<double> sum_h;
+  column_sums(f, nl, &sum_f);
+  column_sums(h, nr, &sum_h);
 
   // One-time max-degree reservation: every worker's scratch is sized for the
   // largest neighborhood on either side, so no row update reallocates.
@@ -177,28 +202,32 @@ CodaResult Coda::FitFrom(const graph::BipartiteGraph& g, std::vector<double> f,
     scratches.emplace_back(c, max_degree);
   }
 
-  // Local objective of one row x (F_u against its out-neighborhood, or H_v
-  // against its in-neighborhood):
+  // One row update. `scratch.gather` holds the row's `count` neighbor rows
+  // Y_nbr followed by rest = (column sums of the other side) - (sum over
+  // neighbors), floored at zero. The row's local objective is
   //   l(x) = sum_{nbr} log(1 - exp(-x . Y_nbr)) - x . rest
-  // where rest = (column sums of the other side) - (sum over neighbors),
-  // and the neighbor rows are packed contiguously in `nbr_rows`.
-  auto row_objective = [cs](const double* x, const double* nbr_rows,
-                            size_t count, const double* rest) {
-    return simd::SumLogEdgeProbF64(x, nbr_rows, count, cs, kMinDot) -
-           simd::DotF64(x, rest, cs);
-  };
+  // and one DotRowsF64 call over all count + 1 rows scores it; the gradient
+  // and the base objective are both built from the same dots, each folded
+  // in row order.
+  auto update_row = [&](double* x, size_t count, RowScratch& scratch) {
+    const double* rows = scratch.gather.data();
+    const double* rest = rows + count * cs;
+    double* dots = scratch.dots.data();
+    simd::DotRowsF64(x, rows, count + 1, cs, dots);
 
-  auto update_row = [&](double* x, const double* nbr_rows, size_t count,
-                        RowScratch& scratch) {
-    const double* rest = scratch.rest.data();
     // Gradient: sum_nbr Y / expm1(dot) - rest.
     double* grad = scratch.grad.data();
     std::fill(scratch.grad.begin(), scratch.grad.end(), 0.0);
-    simd::AccumExpm1RowsF64(x, nbr_rows, count, cs, kMinDot, 1.0 / kMinDot,
-                            grad);
+    for (size_t i = 0; i < count; ++i) {
+      double d = dots[i];
+      if (d < kMinDot) d = kMinDot;
+      double w = 1.0 / std::expm1(d);
+      if (w > kMaxWeight) w = kMaxWeight;
+      simd::AxpyF64(w, rows + i * cs, grad, cs);
+    }
     simd::SubF64(grad, rest, cs);
 
-    double base = row_objective(x, nbr_rows, count, rest);
+    const double base = SumLogEdgeProb(dots, count) - dots[count];
     double* candidate = scratch.candidate.data();
     double step = config_.initial_step;
     for (int bt = 0; bt <= config_.max_backtracks; ++bt) {
@@ -206,7 +235,8 @@ CodaResult Coda::FitFrom(const graph::BipartiteGraph& g, std::vector<double> f,
                                            config_.max_affiliation, candidate,
                                            cs);
       if (gdx <= 0) break;  // projected step is not an ascent direction
-      double obj = row_objective(candidate, nbr_rows, count, rest);
+      simd::DotRowsF64(candidate, rows, count + 1, cs, dots);
+      double obj = SumLogEdgeProb(dots, count) - dots[count];
       if (obj >= base + 1e-4 * gdx) {  // Armijo
         std::copy(candidate, candidate + cs, x);
         return;
@@ -216,30 +246,68 @@ CodaResult Coda::FitFrom(const graph::BipartiteGraph& g, std::vector<double> f,
     // No improving step found: leave the row unchanged.
   };
 
-  // Rows are independent within a phase (each writes only its own row
-  // against the fixed other side), so any worker assignment produces
-  // identical results. fn(i, scratch) gets a worker-local RowScratch.
+  // Runs fn(i, scratch) for every i in [0, n): each worker claims contiguous
+  // kRowChunk-row chunks from a shared counter and passes its own
+  // RowScratch. fn must write only state owned by row i, so the result
+  // cannot depend on which worker runs a row.
   auto parallel_rows = [&](size_t n, auto&& fn) {
-    const size_t workers = pool.num_threads();
-    std::vector<std::future<void>> futs;
-    for (size_t w = 0; w < workers; ++w) {
-      futs.push_back(pool.Submit([&, w]() {
-        for (size_t i = w; i < n; i += workers) fn(i, scratches[w]);
-      }));
-    }
-    for (auto& fu : futs) fu.get();
+    std::atomic<size_t> next{0};
+    pool.RunBulk(scratches.size(), [&](size_t w) {
+      for (size_t begin = next.fetch_add(kRowChunk); begin < n;
+           begin = next.fetch_add(kRowChunk)) {
+        const size_t end = std::min(n, begin + kRowChunk);
+        for (size_t i = begin; i < end; ++i) fn(i, scratches[w]);
+      }
+    });
   };
 
+  // One phase: updates every row of `self` (n rows) against the fixed other
+  // side, then refreshes self's column sums.
+  auto update_side = [&](size_t n, auto neighbors, std::vector<double>& self,
+                         const std::vector<double>& other,
+                         const std::vector<double>& other_sum,
+                         std::vector<double>* self_sum) {
+    parallel_rows(n, [&](size_t i, RowScratch& scratch) {
+      auto nbrs = neighbors(static_cast<uint32_t>(i));
+      double* gather = scratch.gather.data();
+      double* nbr_sum = scratch.nbr_sum.data();
+      std::fill(scratch.nbr_sum.begin(), scratch.nbr_sum.end(), 0.0);
+      for (size_t k = 0; k < nbrs.size(); ++k) {
+        simd::CopyAddF64(gather + k * cs, nbr_sum, &other[nbrs[k] * cs], cs);
+      }
+      simd::ClampedSubF64(gather + nbrs.size() * cs, other_sum.data(),
+                          nbr_sum, cs);
+      update_row(&self[i * cs], nbrs.size(), scratch);
+    });
+    column_sums(self, n, self_sum);
+  };
+
+  // Per-edge slots in CSR order: the parallel pass fills them, and the
+  // serial fold below adds them in edge order, so the sums never depend on
+  // the thread count.
+  std::vector<size_t> edge_begin(nl + 1, 0);
+  for (uint32_t u = 0; u < nl; ++u) {
+    edge_begin[u + 1] = edge_begin[u] + g.OutNeighbors(u).size();
+  }
+  std::vector<double> edge_log_prob(g.num_edges());
+  std::vector<double> edge_dot(g.num_edges());
+
   auto log_likelihood = [&]() {
+    parallel_rows(nl, [&](size_t u, RowScratch&) {
+      const double* fu = &f[u * cs];
+      size_t e = edge_begin[u];
+      for (uint32_t v : g.OutNeighbors(static_cast<uint32_t>(u))) {
+        double dot = std::max(simd::DotF64(fu, &h[v * cs], cs), kMinDot);
+        edge_log_prob[e] = std::log1p(-std::exp(-dot));
+        edge_dot[e] = dot;
+        ++e;
+      }
+    });
     double ll = 0;
     double edge_dot_sum = 0;
-    for (uint32_t u = 0; u < nl; ++u) {
-      const double* fu = &f[u * cs];
-      for (uint32_t v : g.OutNeighbors(u)) {
-        double dot = std::max(simd::DotF64(fu, &h[v * cs], cs), kMinDot);
-        ll += std::log1p(-std::exp(-dot));
-        edge_dot_sum += dot;
-      }
+    for (size_t e = 0; e < edge_dot.size(); ++e) {
+      ll += edge_log_prob[e];
+      edge_dot_sum += edge_dot[e];
     }
     double all_pairs = simd::DotF64(sum_f.data(), sum_h.data(), cs);
     ll -= all_pairs - edge_dot_sum;
@@ -250,41 +318,14 @@ CodaResult Coda::FitFrom(const graph::BipartiteGraph& g, std::vector<double> f,
   result.log_likelihood_trace.push_back(prev_ll);
 
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
-    // --- F phase (investor rows; H and sum_h fixed). ---------------------
-    parallel_rows(nl, [&](size_t u, RowScratch& scratch) {
-      auto nbrs_span = g.OutNeighbors(static_cast<uint32_t>(u));
-      double* gather = scratch.gather.data();
-      std::fill(scratch.nbr_sum.begin(), scratch.nbr_sum.end(), 0.0);
-      for (size_t i = 0; i < nbrs_span.size(); ++i) {
-        simd::CopyAddF64(gather + i * cs, scratch.nbr_sum.data(),
-                         &h[nbrs_span[i] * cs], cs);
-      }
-      simd::ClampedSubF64(scratch.rest.data(), sum_h.data(),
-                          scratch.nbr_sum.data(), cs);
-      update_row(&f[u * cs], gather, nbrs_span.size(), scratch);
-    });
-    std::fill(sum_f.begin(), sum_f.end(), 0.0);
-    for (size_t u = 0; u < nl; ++u) {
-      simd::AddF64(sum_f.data(), &f[u * cs], cs);
-    }
-
-    // --- H phase (company rows; F and sum_f fixed). ----------------------
-    parallel_rows(nr, [&](size_t v, RowScratch& scratch) {
-      auto nbrs_span = g.InNeighbors(static_cast<uint32_t>(v));
-      double* gather = scratch.gather.data();
-      std::fill(scratch.nbr_sum.begin(), scratch.nbr_sum.end(), 0.0);
-      for (size_t i = 0; i < nbrs_span.size(); ++i) {
-        simd::CopyAddF64(gather + i * cs, scratch.nbr_sum.data(),
-                         &f[nbrs_span[i] * cs], cs);
-      }
-      simd::ClampedSubF64(scratch.rest.data(), sum_f.data(),
-                          scratch.nbr_sum.data(), cs);
-      update_row(&h[v * cs], gather, nbrs_span.size(), scratch);
-    });
-    std::fill(sum_h.begin(), sum_h.end(), 0.0);
-    for (size_t v = 0; v < nr; ++v) {
-      simd::AddF64(sum_h.data(), &h[v * cs], cs);
-    }
+    // F phase (investor rows against fixed H), then H phase (company rows
+    // against the updated F).
+    update_side(
+        nl, [&](uint32_t u) { return g.OutNeighbors(u); }, f, h, sum_h,
+        &sum_f);
+    update_side(
+        nr, [&](uint32_t v) { return g.InNeighbors(v); }, h, f, sum_f,
+        &sum_h);
 
     double ll = log_likelihood();
     result.log_likelihood_trace.push_back(ll);

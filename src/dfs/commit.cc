@@ -10,9 +10,6 @@
 namespace cfnet::dfs {
 namespace {
 
-/// Tries per commit or read (first attempt included).
-constexpr int kCommitAttempts = 4;
-
 /// Parses exactly `len` hex/decimal digits; returns false on any non-digit.
 bool ParseHex32(std::string_view s, uint32_t* out) {
   uint32_t v = 0;

@@ -88,9 +88,12 @@ Status CommitFile(MiniDfs* dfs, const std::string& path,
 Status CommitAppend(MiniDfs* dfs, const std::string& path,
                     std::string_view payload);
 
+/// Tries per commit or read (first attempt included).
+inline constexpr int kCommitAttempts = 4;
+
 /// Reads `path` and returns its verified payload (footer stripped). A file
 /// whose footer does not verify — missing, torn, or damaged by a transient
-/// short read or bit flip — is read up to four times, then fails
+/// short read or bit flip — is read up to kCommitAttempts times, then fails
 /// Corruption. NotFound fails at once.
 Result<std::string> ReadCommitted(const MiniDfs& dfs, const std::string& path);
 

@@ -101,6 +101,22 @@ Status TruncateJsonLines(MiniDfs* dfs, const std::string& path,
 }
 
 namespace internal_scan {
+namespace {
+
+/// Reads all of `path` for salvage. A short read reports success with a
+/// prefix, so the content must reach the file's stored length: re-reads up
+/// to kCommitAttempts times, and fails rather than decode a prefix (which
+/// would silently drop intact records).
+Result<std::string> ReadWholeFile(const MiniDfs& dfs, const std::string& path) {
+  CFNET_ASSIGN_OR_RETURN(const uint64_t size, dfs.FileSize(path));
+  for (int attempt = 0; attempt < kCommitAttempts; ++attempt) {
+    CFNET_ASSIGN_OR_RETURN(std::string content, dfs.ReadFile(path));
+    if (content.size() == size) return content;
+  }
+  return Status::IOError("short read on every salvage attempt: " + path);
+}
+
+}  // namespace
 
 Result<ShardLoad> LoadShardContents(const MiniDfs& dfs,
                                     const std::vector<std::string>& paths,
@@ -120,7 +136,7 @@ Result<ShardLoad> LoadShardContents(const MiniDfs& dfs,
       }
       // Salvage whatever lines still decode. Footer-shaped tail bytes are
       // provably metadata, so they go; everything else is kept.
-      CFNET_ASSIGN_OR_RETURN(content, dfs.ReadFile(path));
+      CFNET_ASSIGN_OR_RETURN(content, ReadWholeFile(dfs, path));
       content.resize(SalvagePayloadSize(content));
       report->quarantined_paths.push_back(path);
     }

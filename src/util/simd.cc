@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstdlib>
 
 #include "util/simd_internal.h"
@@ -32,6 +31,11 @@ double DotF64Scalar(const double* a, const double* b, size_t n) {
   double lane[kVirtualLanes] = {};
   for (size_t i = 0; i < n; ++i) lane[i & 15] += a[i] * b[i];
   return CombineLanes(lane);
+}
+
+void DotRowsF64Scalar(const double* x, const double* rows, size_t count,
+                      size_t c, double* out) {
+  for (size_t r = 0; r < count; ++r) out[r] = DotF64Scalar(x, rows + r * c, c);
 }
 
 double SumF64Scalar(const double* a, size_t n) {
@@ -120,6 +124,7 @@ namespace {
 const Kernels kScalarKernels = {
     "scalar",
     DotF64Scalar,
+    DotRowsF64Scalar,
     SumF64Scalar,
     SumSqDiffF64Scalar,
     PearsonAccumF64Scalar,
@@ -155,6 +160,38 @@ double DotSse2(const double* a, const double* b, size_t n) {
   for (size_t q = 0; q < 8; ++q) _mm_storeu_pd(lane + 2 * q, acc[q]);
   for (; i < n; ++i) lane[i & 15] += a[i] * b[i];
   return CombineLanes(lane);
+}
+
+/// Four rows at a time: x is loaded once per step and multiplied into each
+/// row's own eight accumulators, so four independent add chains overlap;
+/// every row then finishes exactly like DotSse2 (ordered tail, CombineLanes).
+void DotRowsSse2(const double* x, const double* rows, size_t count, size_t c,
+                 double* out) {
+  const size_t main = c & ~size_t{15};
+  size_t r = 0;
+  for (; r + 4 <= count; r += 4) {
+    const double* y = rows + r * c;
+    __m128d acc[4][8];
+    for (auto& row : acc) {
+      for (auto& v : row) v = _mm_setzero_pd();
+    }
+    for (size_t i = 0; i < main; i += 16) {
+      for (size_t q = 0; q < 8; ++q) {
+        const __m128d vx = _mm_loadu_pd(x + i + 2 * q);
+        for (size_t k = 0; k < 4; ++k) {
+          acc[k][q] = _mm_add_pd(
+              acc[k][q], _mm_mul_pd(vx, _mm_loadu_pd(y + k * c + i + 2 * q)));
+        }
+      }
+    }
+    for (size_t k = 0; k < 4; ++k) {
+      double lane[kVirtualLanes];
+      for (size_t q = 0; q < 8; ++q) _mm_storeu_pd(lane + 2 * q, acc[k][q]);
+      for (size_t i = main; i < c; ++i) lane[i & 15] += x[i] * y[k * c + i];
+      out[r + k] = CombineLanes(lane);
+    }
+  }
+  for (; r < count; ++r) out[r] = DotSse2(x, rows + r * c, c);
 }
 
 double SumSse2(const double* a, size_t n) {
@@ -247,6 +284,7 @@ void ClampedSubSse2(double* out, const double* a, const double* b, size_t n) {
 const Kernels kSse2Kernels = {
     "sse2",
     DotSse2,
+    DotRowsSse2,
     SumSse2,
     SumSqDiffSse2,
     PearsonAccumF64Scalar,
@@ -265,10 +303,12 @@ const Kernels kSse2Kernels = {
 // Dispatch
 // --------------------------------------------------------------------------
 
+#if !defined(CFNET_DISABLE_SIMD)
 bool DisabledByEnv() {
   const char* v = std::getenv("CFNET_DISABLE_SIMD");
   return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
+#endif
 
 const Kernels* DetectKernels() {
 #if defined(CFNET_DISABLE_SIMD)
@@ -315,6 +355,11 @@ double DotF64(const double* a, const double* b, size_t n) {
   return Active().dot(a, b, n);
 }
 
+void DotRowsF64(const double* x, const double* rows, size_t count, size_t c,
+                double* out) {
+  Active().dot_rows(x, rows, count, c, out);
+}
+
 double SumF64(const double* a, size_t n) { return Active().sum(a, n); }
 
 double SumSqDiffF64(const double* a, size_t n, double center) {
@@ -359,38 +404,6 @@ void ClampedSubF64(double* out, const double* a, const double* b, size_t n) {
 
 uint64_t AndPopcountU64(const uint64_t* a, const uint64_t* b, size_t n) {
   return Active().and_popcount(a, b, n);
-}
-
-// --------------------------------------------------------------------------
-// Fused CoDA row helpers: backend-independent composition. The per-row
-// fold is sequential in row order on every backend, each dot obeys the
-// lane contract, and the libm calls (exp/log1p/expm1) see bit-identical
-// inputs — so the whole helper is bit-identical SIMD-on vs SIMD-off.
-// --------------------------------------------------------------------------
-
-double SumLogEdgeProbF64(const double* x, const double* rows, size_t count,
-                         size_t c, double min_dot) {
-  const Kernels& k = Active();
-  double obj = 0;
-  for (size_t i = 0; i < count; ++i) {
-    double d = k.dot(x, rows + i * c, c);
-    if (d < min_dot) d = min_dot;
-    obj += std::log1p(-std::exp(-d));
-  }
-  return obj;
-}
-
-void AccumExpm1RowsF64(const double* x, const double* rows, size_t count,
-                       size_t c, double min_dot, double w_cap, double* grad) {
-  const Kernels& k = Active();
-  for (size_t i = 0; i < count; ++i) {
-    const double* row = rows + i * c;
-    double d = k.dot(x, row, c);
-    if (d < min_dot) d = min_dot;
-    double w = 1.0 / std::expm1(d);
-    if (w > w_cap) w = w_cap;
-    k.axpy(w, row, grad, c);
-  }
 }
 
 }  // namespace cfnet::simd

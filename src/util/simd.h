@@ -84,6 +84,14 @@ class ScopedForceScalar {
 /// sum_i a[i] * b[i].
 double DotF64(const double* a, const double* b, size_t n);
 
+/// out[r] = DotF64(x, rows + r * c, c) for r in [0, count): one x against
+/// `count` contiguous c-wide rows (row-major). Bit-identical to the per-row
+/// calls — every row keeps its own virtual lanes — but the vector backends
+/// interleave four rows so their accumulator chains overlap. The CoDA row
+/// update scores a whole neighborhood through this one call.
+void DotRowsF64(const double* x, const double* rows, size_t count, size_t c,
+                double* out);
+
 /// sum_i a[i].
 double SumF64(const double* a, size_t n);
 
@@ -132,23 +140,6 @@ void ClampedSubF64(double* out, const double* a, const double* b, size_t n);
 /// sum_i popcount(a[i] & b[i]) — bitset intersection cardinality.
 uint64_t AndPopcountU64(const uint64_t* a, const uint64_t* b, size_t n);
 
-// --- fused CoDA row helpers (backend-independent composition) -------------
-
-/// sum over `count` contiguous rows y_i (each `c` doubles, row-major in
-/// `rows`) of log1p(-exp(-max(DotF64(x, y_i, c), min_dot))) — the
-/// edge-probability term of the CoDA local objective. The per-row fold is
-/// sequential in row order; each dot obeys the virtual-lane contract, and
-/// the libm calls see identical inputs on every backend.
-double SumLogEdgeProbF64(const double* x, const double* rows, size_t count,
-                         size_t c, double min_dot);
-
-/// Fused CoDA gradient accumulation over the same row layout:
-///   d_i = max(DotF64(x, y_i, c), min_dot)
-///   w_i = min(1 / expm1(d_i), w_cap)
-///   grad += w_i * y_i          (AxpyF64 per row, in row order)
-void AccumExpm1RowsF64(const double* x, const double* rows, size_t count,
-                       size_t c, double min_dot, double w_cap, double* grad);
-
 // --- scalar reference forms (the canonical semantics) ---------------------
 //
 // Exposed for differential tests and benchmarks, mirroring
@@ -156,6 +147,8 @@ void AccumExpm1RowsF64(const double* x, const double* rows, size_t count,
 // to these on every input.
 
 double DotF64Scalar(const double* a, const double* b, size_t n);
+void DotRowsF64Scalar(const double* x, const double* rows, size_t count,
+                      size_t c, double* out);
 double SumF64Scalar(const double* a, size_t n);
 double SumSqDiffF64Scalar(const double* a, size_t n, double center);
 void PearsonAccumF64Scalar(const double* x, const double* y, size_t n,

@@ -14,6 +14,7 @@ namespace cfnet::simd::internal {
 struct Kernels {
   const char* name;
   double (*dot)(const double*, const double*, size_t);
+  void (*dot_rows)(const double*, const double*, size_t, size_t, double*);
   double (*sum)(const double*, size_t);
   double (*sum_sq_diff)(const double*, size_t, double);
   void (*pearson_accum)(const double*, const double*, size_t, double, double,

@@ -37,6 +37,38 @@ double DotNeon(const double* a, const double* b, size_t n) {
   return CombineLanes(lane);
 }
 
+/// Four rows at a time: each step loads x once and multiplies it into every
+/// row's own eight accumulators, so four independent add chains overlap;
+/// every row then finishes exactly like DotNeon (ordered tail, CombineLanes).
+void DotRowsNeon(const double* x, const double* rows, size_t count, size_t c,
+                 double* out) {
+  const size_t main = c & ~size_t{15};
+  size_t r = 0;
+  for (; r + 4 <= count; r += 4) {
+    const double* y = rows + r * c;
+    float64x2_t acc[4][8];
+    for (auto& row : acc) {
+      for (auto& v : row) v = vdupq_n_f64(0.0);
+    }
+    for (size_t i = 0; i < main; i += 16) {
+      for (size_t q = 0; q < 8; ++q) {
+        const float64x2_t vx = vld1q_f64(x + i + 2 * q);
+        for (size_t k = 0; k < 4; ++k) {
+          acc[k][q] = vaddq_f64(
+              acc[k][q], vmulq_f64(vx, vld1q_f64(y + k * c + i + 2 * q)));
+        }
+      }
+    }
+    for (size_t k = 0; k < 4; ++k) {
+      double lane[kVirtualLanes];
+      for (size_t q = 0; q < 8; ++q) vst1q_f64(lane + 2 * q, acc[k][q]);
+      for (size_t i = main; i < c; ++i) lane[i & 15] += x[i] * y[k * c + i];
+      out[r + k] = CombineLanes(lane);
+    }
+  }
+  for (; r < count; ++r) out[r] = DotNeon(x, rows + r * c, c);
+}
+
 double SumNeon(const double* a, size_t n) {
   float64x2_t acc[8];
   for (auto& v : acc) v = vdupq_n_f64(0.0);
@@ -218,6 +250,7 @@ uint64_t AndPopcountNeon(const uint64_t* a, const uint64_t* b, size_t n) {
 const Kernels kNeonKernels = {
     "neon",
     DotNeon,
+    DotRowsNeon,
     SumNeon,
     SumSqDiffNeon,
     PearsonAccumNeon,

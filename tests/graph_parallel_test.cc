@@ -4,6 +4,7 @@
 // intersection path must agree exactly with the sorted-merge fallback.
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -226,6 +227,60 @@ TEST(GraphParallelTest, CodaFitBitIdenticalSimdOnOff) {
     EXPECT_EQ(on.log_likelihood_trace, off.log_likelihood_trace);
     EXPECT_EQ(on.final_log_likelihood, off.final_log_likelihood);
     EXPECT_EQ(on.threshold_used, off.threshold_used);
+  }
+}
+
+// CoDA workers claim 16-row chunks from a shared counter, so on a skewed
+// graph the rows each worker runs change with the thread count. Every row
+// writes only itself and the log-likelihood is folded in edge order, so the
+// fit must still be identical bit for bit — and its final log-likelihood
+// must equal the plain serial formula evaluated on the returned factors.
+TEST(GraphParallelTest, CodaFitIdenticalAcrossThreadCountsOnSkewedGraph) {
+  // Investor 0's 120 companies, and the popular companies' investor lists,
+  // span many 16-row chunks.
+  const graph::BipartiteGraph g = HeavyTailed(23);
+  for (int c : {24, 96}) {
+    community::CodaConfig config;
+    config.num_communities = c;
+    config.max_iterations = 6;
+    config.seed = 5;
+    config.num_threads = 1;
+    const community::CodaResult reference = community::Coda(config).Fit(g);
+    ASSERT_EQ(reference.num_factors, c);
+    ASSERT_GT(reference.iterations, 1);
+    for (int threads : {2, 3, 4, 8}) {
+      config.num_threads = threads;
+      const community::CodaResult fit = community::Coda(config).Fit(g);
+      EXPECT_EQ(fit.f, reference.f) << "c=" << c << " threads=" << threads;
+      EXPECT_EQ(fit.h, reference.h) << "c=" << c << " threads=" << threads;
+      EXPECT_EQ(fit.log_likelihood_trace, reference.log_likelihood_trace)
+          << "c=" << c << " threads=" << threads;
+      EXPECT_EQ(fit.final_log_likelihood, reference.final_log_likelihood);
+    }
+
+    // Serial recomputation: edges in CSR order, column sums in row order.
+    const size_t cs = static_cast<size_t>(c);
+    std::vector<double> sum_f(cs, 0.0), sum_h(cs, 0.0);
+    for (size_t u = 0; u < g.num_left(); ++u) {
+      simd::AddF64(sum_f.data(), &reference.f[u * cs], cs);
+    }
+    for (size_t v = 0; v < g.num_right(); ++v) {
+      simd::AddF64(sum_h.data(), &reference.h[v * cs], cs);
+    }
+    double ll = 0;
+    double edge_dot_sum = 0;
+    for (uint32_t u = 0; u < g.num_left(); ++u) {
+      for (uint32_t v : g.OutNeighbors(u)) {
+        const double dot = std::max(
+            simd::DotF64(&reference.f[u * cs], &reference.h[v * cs], cs),
+            1e-10);
+        ll += std::log1p(-std::exp(-dot));
+        edge_dot_sum += dot;
+      }
+    }
+    ll -= simd::DotF64(sum_f.data(), sum_h.data(), cs) - edge_dot_sum;
+    EXPECT_EQ(ll, reference.final_log_likelihood) << "c=" << c;
+    EXPECT_EQ(ll, reference.log_likelihood_trace.back()) << "c=" << c;
   }
 }
 

@@ -222,6 +222,62 @@ TEST(ScanSalvageTest, CorruptMiddleBlockQuarantinesInReportOnly) {
   EXPECT_EQ(report.quarantined_paths[0], "/snap/part-0");
 }
 
+/// A committed 50-record shard whose payload rotted one byte inside a name
+/// after commit: the footer no longer verifies, yet every line still decodes.
+std::string CommitRottedShard(MiniDfs* dfs, const std::string& path) {
+  std::string payload;
+  for (int i = 1; i <= 50; ++i) {
+    payload += "{\"id\":" + std::to_string(i) + ",\"name\":\"startup-" +
+               std::to_string(i) + "\"}\n";
+  }
+  EXPECT_TRUE(dfs::CommitFile(dfs, path, payload).ok());
+  std::string raw = *dfs->ReadFile(path);
+  const size_t at = raw.find("startup-25");
+  EXPECT_NE(at, std::string::npos);
+  raw[at] = 'S';
+  EXPECT_TRUE(dfs->WriteFile(path, raw).ok());
+  return raw;
+}
+
+TEST(ScanSalvageTest, ShortSalvageReReadIsRetriedNotDecoded) {
+  const std::string path = "/snap/part-0";
+  ScanOptions salvage;
+  salvage.salvage = true;
+
+  MiniDfs clean;
+  CommitRottedShard(&clean, path);
+  auto expected = dfs::ScanJsonLinesDom(clean, {path}, salvage);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_EQ(ScanIds(*expected).size(), 50u);
+
+  // ReadCommitted spends kCommitAttempts reads on the bad footer; the next
+  // read is the salvage re-read, and it comes back short.
+  MiniDfs faulty;
+  CommitRottedShard(&faulty, path);
+  const uint64_t salvage_read =
+      faulty.GetStats().read_ops + dfs::kCommitAttempts + 1;
+  dfs::IoFaultPlan plan;
+  plan.short_reads = {{salvage_read, salvage_read + 1, 1.0}};
+  faulty.InstallFaultPlan(plan);
+  dfs::ScanReport report;
+  salvage.report = &report;
+  auto scanned = dfs::ScanJsonLinesDom(faulty, {path}, salvage);
+  ASSERT_TRUE(scanned.ok()) << scanned.status();
+  EXPECT_EQ(ScanIds(*scanned), ScanIds(*expected));
+  EXPECT_EQ(report.records_dropped, 0u);
+  EXPECT_EQ(report.quarantined_paths, (std::vector<std::string>{path}));
+
+  // A shard that never reads back whole fails instead of decoding a prefix.
+  MiniDfs always_short;
+  CommitRottedShard(&always_short, path);
+  const uint64_t first_read = always_short.GetStats().read_ops + 1;
+  dfs::IoFaultPlan short_plan;
+  short_plan.short_reads = {{first_read, 0, 1.0}};
+  always_short.InstallFaultPlan(short_plan);
+  auto failed = dfs::ScanJsonLinesDom(always_short, {path}, salvage);
+  EXPECT_FALSE(failed.ok());
+}
+
 TEST(ScanSalvageTest, FooterVerifiedFilesAreCountedAndStayStrict) {
   MiniDfs dfs;
   {

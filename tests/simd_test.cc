@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -180,27 +181,105 @@ TEST(SimdTest, ScalarFormFollowsVirtualLaneContract) {
   EXPECT_EQ(Bits(simd::SumF64Scalar(a.data(), a.size())), Bits(expected));
 }
 
-TEST(SimdTest, FusedCodaHelpersBitIdenticalSimdOnOff) {
+// DotRowsF64 promises out[r] == DotF64(x, rows + r * c, c) bit for bit, on
+// every backend: each row keeps its own virtual lanes however many rows the
+// vector forms interleave. The row pool plants NaN and +/-inf so some rows
+// (and, through the x pool, some columns) carry special values.
+TEST(SimdTest, DotRowsMatchesPerRowDotOnFullGrid) {
+  constexpr size_t kMaxRows = 9;
+  Pool x_pool(108);
+  Rng rng(109);
+  std::vector<double> row_pool(kMaxRows * kMaxLen + kMaxOffset + 1);
+  for (double& v : row_pool) v = rng.Uniform(-3.0, 3.0);
+  row_pool[13] = std::numeric_limits<double>::infinity();
+  row_pool[200] = std::numeric_limits<double>::quiet_NaN();
+  row_pool[650] = -std::numeric_limits<double>::infinity();
+  row_pool[1301] = std::numeric_limits<double>::quiet_NaN();
+  row_pool[2000] = std::numeric_limits<double>::infinity();
+
+  for (bool force_scalar : {false, true}) {
+    std::optional<simd::ScopedForceScalar> scalar;
+    if (force_scalar) scalar.emplace();
+    for (size_t c = 0; c <= kMaxLen; ++c) {
+      for (size_t count = 0; count <= kMaxRows; ++count) {
+        for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
+          const double* x = x_pool.a.data() + offset;
+          const double* rows = row_pool.data() + offset;
+          // One sentinel past the end: the kernel writes exactly `count`.
+          std::vector<double> out(count + 1, -7.0);
+          simd::DotRowsF64(x, rows, count, c, out.data());
+          for (size_t r = 0; r < count; ++r) {
+            const double* row = rows + r * c;
+            const double scalar_dot = simd::DotF64Scalar(x, row, c);
+            ASSERT_EQ(Bits(out[r]), Bits(simd::DotF64(x, row, c)))
+                << "DotRowsF64 row " << r << " vs DotF64 at c=" << c
+                << " count=" << count << " offset=" << offset
+                << " scalar=" << force_scalar;
+            ASSERT_EQ(Bits(out[r]), Bits(scalar_dot))
+                << "DotRowsF64 row " << r << " vs DotF64Scalar at c=" << c
+                << " count=" << count << " offset=" << offset
+                << " scalar=" << force_scalar;
+          }
+          ASSERT_EQ(out[count], -7.0) << "wrote past count=" << count;
+          std::vector<double> canonical(count + 1, -7.0);
+          simd::DotRowsF64Scalar(x, rows, count, c, canonical.data());
+          ExpectSameVector(out, canonical, "DotRowsF64Scalar", c, offset);
+        }
+      }
+    }
+  }
+}
+
+// The kernels one CoDA row update chains together (gather, rest
+// projection, batched dots, gradient axpys, clamped step), composed the way
+// Coda::FitFrom composes them, must stay bit-identical SIMD-on vs SIMD-off.
+TEST(SimdTest, CodaRowHelpersBitIdenticalSimdOnOff) {
   Rng rng(106);
   const size_t c = 33;
   const size_t count = 9;
-  std::vector<double> x(c), rows(count * c), grad_on(c, 0), grad_off(c, 0);
+  std::vector<double> x(c), other(count * c), col_sum(c);
   for (auto& v : x) v = rng.Uniform(0.0, 0.5);
-  for (auto& v : rows) v = rng.Uniform(0.0, 0.5);
+  for (auto& v : other) v = rng.Uniform(0.0, 0.5);
+  for (auto& v : col_sum) v = rng.Uniform(2.0, 4.0);
 
-  const double obj_on = simd::SumLogEdgeProbF64(x.data(), rows.data(), count,
-                                                c, 1e-10);
-  simd::AccumExpm1RowsF64(x.data(), rows.data(), count, c, 1e-10, 1e10,
-                          grad_on.data());
+  struct RowStep {
+    std::vector<double> gather, dots, grad, candidate;
+    double gdx = 0;
+  };
+  auto run = [&]() {
+    RowStep out;
+    out.gather.assign(count * c, 0.0);
+    out.dots.assign(count, 0.0);
+    out.grad.assign(c, 0.0);
+    out.candidate.assign(c, 0.0);
+    std::vector<double> nbr_sum(c, 0.0), rest(c);
+    for (size_t i = 0; i < count; ++i) {
+      simd::CopyAddF64(out.gather.data() + i * c, nbr_sum.data(),
+                       other.data() + i * c, c);
+    }
+    simd::ClampedSubF64(rest.data(), col_sum.data(), nbr_sum.data(), c);
+    simd::DotRowsF64(x.data(), out.gather.data(), count, c, out.dots.data());
+    for (size_t i = 0; i < count; ++i) {
+      const double w = 1.0 / std::expm1(std::max(out.dots[i], 1e-10));
+      simd::AxpyF64(w, out.gather.data() + i * c, out.grad.data(), c);
+    }
+    simd::SubF64(out.grad.data(), rest.data(), c);
+    out.gdx = simd::ClampedStepDotF64(x.data(), out.grad.data(), 0.25, 0.0,
+                                      1000.0, out.candidate.data(), c);
+    return out;
+  };
+
+  const RowStep on = run();
+  RowStep off;
   {
     simd::ScopedForceScalar force;
-    const double obj_off = simd::SumLogEdgeProbF64(x.data(), rows.data(),
-                                                   count, c, 1e-10);
-    simd::AccumExpm1RowsF64(x.data(), rows.data(), count, c, 1e-10, 1e10,
-                            grad_off.data());
-    EXPECT_EQ(Bits(obj_on), Bits(obj_off));
+    off = run();
   }
-  ExpectSameVector(grad_on, grad_off, "AccumExpm1RowsF64 grad", count, 0);
+  ExpectSameVector(on.gather, off.gather, "gather", c, 0);
+  ExpectSameVector(on.dots, off.dots, "dots", c, 0);
+  ExpectSameVector(on.grad, off.grad, "grad", c, 0);
+  ExpectSameVector(on.candidate, off.candidate, "candidate", c, 0);
+  EXPECT_EQ(Bits(on.gdx), Bits(off.gdx));
 }
 
 TEST(SimdTest, ScopedForceScalarSwapsAndRestoresBackend) {
