@@ -1,7 +1,7 @@
 // MiniSpark (dataflow substrate) throughput: the operators the paper's
 // analyses are built from, measured standalone with google-benchmark, plus
-// a fixed set of engine workloads (fused narrow chain, skewed aggregation,
-// sort, repartition) whose results are written as machine-readable JSON for
+// a fixed set of engine workloads (fused narrow chain, skewed Distinct
+// shuffle) whose results are written as machine-readable JSON for
 // before/after comparison (--json=PATH, default BENCH_dataflow.json;
 // --records=N sets the workload size).
 
@@ -63,26 +63,7 @@ void BM_FilterChain(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterChain)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
-void BM_ReduceByKey(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<std::pair<int64_t, int64_t>> kvs;
-  kvs.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    kvs.emplace_back(static_cast<int64_t>(i % 10007), 1);
-  }
-  for (auto _ : state) {
-    auto out = ReduceByKey(
-                   Dataset<std::pair<int64_t, int64_t>>::FromVector(Ctx(), kvs),
-                   [](int64_t a, int64_t b) { return a + b; })
-                   .Count();
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_ReduceByKey)->Arg(100000)->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Join(benchmark::State& state) {
+void BM_LeftOuterJoin(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   std::vector<std::pair<int64_t, int64_t>> left;
   std::vector<std::pair<int64_t, int64_t>> right;
@@ -93,15 +74,16 @@ void BM_Join(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    auto out =
-        Join(Dataset<std::pair<int64_t, int64_t>>::FromVector(Ctx(), left),
-             Dataset<std::pair<int64_t, int64_t>>::FromVector(Ctx(), right))
-            .Count();
+    auto out = LeftOuterJoin(
+                   Dataset<std::pair<int64_t, int64_t>>::FromVector(Ctx(), left),
+                   Dataset<std::pair<int64_t, int64_t>>::FromVector(Ctx(), right))
+                   .Count();
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_Join)->Arg(100000)->Arg(500000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LeftOuterJoin)->Arg(100000)->Arg(500000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Distinct(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -171,7 +153,7 @@ Measured Measure(ExecutionContext& ctx, F&& fn, int reps) {
 
 /// Runs the fixed engine workloads and writes one JSON document. Sources are
 /// materialized before timing so each rep measures the engine work (narrow
-/// pipeline, shuffle, sort), not the cost of copying the input vector.
+/// pipeline, shuffle), not the cost of copying the input vector.
 void RunMeasuredWorkloads(const cfnet::FlagParser& flags) {
   const size_t n = static_cast<size_t>(flags.GetInt("records", 2000000));
   const std::string path = flags.GetString("json", "BENCH_dataflow.json");
@@ -221,44 +203,18 @@ void RunMeasuredWorkloads(const cfnet::FlagParser& flags) {
 
   {
     // 90% of the records hit 100 hot keys: stresses shuffle skew handling.
-    std::vector<std::pair<int64_t, int64_t>> kvs;
-    kvs.reserve(n);
+    std::vector<int64_t> keys;
+    keys.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      int64_t k = (i % 10 != 0) ? static_cast<int64_t>(i % 100)
-                                : static_cast<int64_t>(1000 + i % 100000);
-      kvs.emplace_back(k, 1);
+      keys.push_back((i % 10 != 0) ? static_cast<int64_t>(i % 100)
+                                   : static_cast<int64_t>(1000 + i % 100000));
     }
-    auto src =
-        Dataset<std::pair<int64_t, int64_t>>::FromVector(ctx, std::move(kvs));
+    auto src = Dataset<int64_t>::FromVector(ctx, std::move(keys));
     src.Count();
-    emit("skewed_reduce_by_key", Measure(*ctx, [&src]() {
-      auto c = ReduceByKey(src.Map([](const std::pair<int64_t, int64_t>& kv) {
-                             return std::make_pair(kv.first, kv.second * 2);
-                           }),
-                           [](int64_t a, int64_t b) { return a + b; })
+    emit("skewed_distinct", Measure(*ctx, [&src]() {
+      auto c = src.Map([](const int64_t& k) { return k * 2; })
+                   .Distinct()
                    .Count();
-      benchmark::DoNotOptimize(c);
-    }, reps));
-  }
-
-  {
-    std::vector<int64_t> shuffled(n);
-    for (size_t i = 0; i < n; ++i) {
-      shuffled[i] = static_cast<int64_t>((i * 2654435761u) % n);
-    }
-    auto src = Dataset<int64_t>::FromVector(ctx, std::move(shuffled));
-    src.Count();
-    emit("sort_by", Measure(*ctx, [&src]() {
-      auto sorted = src.SortBy([](const int64_t& x) { return x; });
-      benchmark::DoNotOptimize(sorted);
-    }, reps));
-  }
-
-  {
-    auto src = Dataset<int64_t>::FromVector(ctx, Numbers(n), 8);
-    src.Count();
-    emit("repartition", Measure(*ctx, [&src]() {
-      auto c = src.Repartition(5).Count();
       benchmark::DoNotOptimize(c);
     }, reps));
   }

@@ -93,7 +93,7 @@ uint32_t SnapshotFingerprint(const dfs::MiniDfs& dfs, const std::string& dir);
 
 /// Decodes one JSON-lines shard set with the streaming (DOM-free) decoder —
 /// the reference record stream the columnar path is differential-tested
-/// against. Partitioned for FromPartitions; parallel when `pool` is set.
+/// against. One output vector per scan range; parallel when `pool` is set.
 template <typename T>
 Result<std::vector<std::vector<T>>> ScanSnapshotJson(
     const dfs::MiniDfs& dfs, const std::vector<std::string>& files,

@@ -93,21 +93,6 @@ Status ExploratoryPlatform::CompactSnapshots() {
   return Status::OK();
 }
 
-Result<dataflow::Dataset<json::Json>> ExploratoryPlatform::LoadSnapshotDataset(
-    const std::string& dir) {
-  // Parallel scan over the snapshot shards; the pre-partitioned ranges feed
-  // the dataset directly, so no repartition pass runs. This DOM pipeline is
-  // JSON-only by contract (columnar files in the directory are skipped).
-  dfs::ScanOptions scan;
-  scan.pool = &ctx_->pool();
-  scan.report = &scan_report_;
-  CFNET_ASSIGN_OR_RETURN(
-      auto parts,
-      dfs::ScanJsonLinesDom(*dfs_, SplitSnapshotFiles(dfs_->List(dir)).json,
-                            scan));
-  return dataflow::Dataset<json::Json>::FromPartitions(ctx_, std::move(parts));
-}
-
 Result<AnalysisInputs> ExploratoryPlatform::LoadInputs() {
   if (!collected_) {
     return Status::FailedPrecondition("call CollectData() before LoadInputs()");

@@ -96,10 +96,6 @@ class ExploratoryPlatform {
   /// re-compacting after out-of-band snapshot edits.
   Status CompactSnapshots();
 
-  /// Loads one snapshot directory as a dataset of parsed JSON documents.
-  Result<dataflow::Dataset<json::Json>> LoadSnapshotDataset(
-      const std::string& dir);
-
   const synth::World& world() const { return *world_; }
   net::SocialWeb& web() { return *web_; }
   dfs::MiniDfs& dfs() { return *dfs_; }
@@ -107,8 +103,8 @@ class ExploratoryPlatform {
   const crawler::CrawlReport& crawl_report() const {
     return crawler_->report();
   }
-  /// Aggregate scan accounting across every LoadInputs/LoadSnapshotDataset
-  /// call: files and bytes scanned, plus the columnar counters.
+  /// Aggregate scan accounting across every LoadInputs call: files and bytes
+  /// scanned, plus the columnar counters.
   const dfs::ScanReport& scan_report() const { return scan_report_; }
   std::shared_ptr<dataflow::ExecutionContext> context() { return ctx_; }
   /// Number of snapshot epochs published so far (flush count).

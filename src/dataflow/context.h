@@ -35,27 +35,23 @@ struct EngineMetrics {
 };
 
 /// Execution context for the MiniSpark engine: owns the worker pool and
-/// default partitioning, and carries engine metrics. Datasets created from
-/// the same context share its pool.
+/// carries engine metrics. Datasets created from the same context share its
+/// pool.
 class ExecutionContext {
  public:
   /// Partitions larger than this many elements are split into morsels of
   /// this size by the fused-stage executor for dynamic load balancing.
   static constexpr size_t kDefaultMorselSize = 32768;
 
-  /// `parallelism` worker threads; `default_partitions` defaults to the
-  /// same value when 0.
-  explicit ExecutionContext(size_t parallelism = ThreadPool::DefaultParallelism(),
-                            size_t default_partitions = 0)
-      : pool_(parallelism),
-        default_partitions_(default_partitions == 0 ? parallelism
-                                                    : default_partitions) {}
+  /// `parallelism` worker threads.
+  explicit ExecutionContext(
+      size_t parallelism = ThreadPool::DefaultParallelism())
+      : pool_(parallelism) {}
 
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
   size_t parallelism() const { return pool_.num_threads(); }
-  size_t default_partitions() const { return default_partitions_; }
   EngineMetrics& metrics() { return metrics_; }
   ThreadPool& pool() { return pool_; }
 
@@ -78,7 +74,6 @@ class ExecutionContext {
 
  private:
   ThreadPool pool_;
-  size_t default_partitions_;
   size_t morsel_size_ = kDefaultMorselSize;
   EngineMetrics metrics_;
 };

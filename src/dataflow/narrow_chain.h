@@ -5,7 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -13,24 +13,12 @@
 
 namespace cfnet::dataflow::internal_chain {
 
-/// A morsel's worth of elements flowing between fused operators. `idx` holds
-/// each element's stable 64-bit stream index — derived from its global
-/// position in the *source* dataset (mixed through FlatMap expansions), so
-/// it does not depend on partitioning or morsel boundaries. Operators fill
-/// `idx` only when a downstream consumer (Sample) requested it.
-template <typename T>
-struct Batch {
-  std::vector<T> vals;
-  std::vector<uint64_t> idx;
-};
-
-/// A fused chain of narrow operators (Map/Filter/FlatMap/Sample) over a
-/// type-erased source dataset. Each operator is a batch kernel: a tight,
-/// inlinable loop over its parent's output buffer (or directly over the
-/// source partition for the first operator), so fusion never pays per-element
-/// virtual dispatch. Extending the chain composes kernels; executing it runs
-/// the whole chain once per morsel with no intermediate partition
-/// materialization.
+/// A fused chain of narrow operators (Map/Filter/FlatMap) over a type-erased
+/// source dataset. Each operator is a batch kernel: a tight, inlinable loop
+/// over its parent's output buffer (or directly over the source partition for
+/// the first operator), so fusion never pays per-element virtual dispatch.
+/// Extending the chain composes kernels; executing it runs the whole chain
+/// once per morsel with no intermediate partition materialization.
 template <typename T>
 struct NarrowChain {
   /// Forces the source dataset's materialization (thread-safe, memoized).
@@ -38,10 +26,8 @@ struct NarrowChain {
   /// Per-partition element counts of the materialized source.
   std::function<std::vector<size_t>()> source_sizes;
   /// Fills `out` (assumed empty) with the chain's output for source rows
-  /// [begin, end) of partition p; `idx0` is the global stream index of the
-  /// row at `begin`. When `want_idx`, also fills `out.idx`.
-  std::function<void(size_t p, size_t begin, size_t end, uint64_t idx0,
-                     bool want_idx, Batch<T>& out)>
+  /// [begin, end) of partition p.
+  std::function<void(size_t p, size_t begin, size_t end, std::vector<T>& out)>
       run;
   /// Non-null only on a bare source chain: direct access to partition p of
   /// the materialized source, letting the first fused operator loop over
@@ -64,9 +50,6 @@ std::vector<std::vector<T>> ExecuteNarrowStage(ExecutionContext& ctx,
   chain.materialize_source();
   const std::vector<size_t> sizes = chain.source_sizes();
   const size_t np = sizes.size();
-
-  std::vector<uint64_t> base(np + 1, 0);
-  for (size_t p = 0; p < np; ++p) base[p + 1] = base[p] + sizes[p];
 
   struct Morsel {
     size_t p;
@@ -94,10 +77,11 @@ std::vector<std::vector<T>> ExecuteNarrowStage(ExecutionContext& ctx,
   std::vector<std::vector<T>> chunks(morsels.size());
   ctx.pool().RunBulk(morsels.size(), [&](size_t m) {
     const Morsel& mo = morsels[m];
-    Batch<T> out;
-    chain.run(mo.p, mo.begin, mo.end, base[mo.p] + mo.begin,
-              /*want_idx=*/false, out);
-    chunks[m] = std::move(out.vals);
+    // Fill a worker-local vector: neighbouring chunks[] headers share cache
+    // lines, and concurrent push_backs into them would false-share.
+    std::vector<T> out;
+    chain.run(mo.p, mo.begin, mo.end, out);
+    chunks[m] = std::move(out);
   });
 
   std::vector<std::vector<T>> result(np);

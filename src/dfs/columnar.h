@@ -452,8 +452,8 @@ class ColumnarWriter {
 /// (footer verified/stripped by the shared shard loader), walks the block
 /// frames, then CRC-checks and column-decodes every block as its own
 /// partition on `options.pool` — blocks decode straight into pre-sized
-/// record vectors ready for `Dataset::FromPartitions`, and block payloads
-/// are string_views into the loaded file bytes (no re-buffering).
+/// record vectors, and block payloads are string_views into the loaded file
+/// bytes (no re-buffering).
 ///
 /// Flattened partition order equals write order. Strict mode fails on any
 /// damage; salvage mode mirrors the JSON scan contract — footer-verified

@@ -165,9 +165,7 @@ std::vector<LineRange> SplitLineRanges(const std::vector<std::string>& contents,
 /// Streaming scan over a set of JSON-lines shard files: splits the shards
 /// into line-aligned byte ranges, decodes each range with
 /// `decode(std::string_view line) -> Result<T>` (in parallel when
-/// `options.pool` is set), and returns one output vector per range — already
-/// partitioned for `Dataset::FromPartitions`, so no repartition pass is
-/// needed downstream.
+/// `options.pool` is set), and returns one output vector per range.
 ///
 /// Record order across the flattened partitions equals sequential
 /// `ReadJsonLines` order over `paths`; blank lines are skipped and a

@@ -186,7 +186,7 @@ QueryRequest WorkloadGenerator::JobSeekerRequest(std::mt19937_64& rng) const {
     QueryRequest req("investors.search");
     req.params["q"] = prefixes_[rng() % prefixes_.size()];
     req.params["k"] = "10";
-    if (roll < 15) req.params["min_investments"] = "2";
+    if (roll < 15) req.params.emplace("min_investments", "2");
     return req;
   }
   if (roll < 85) return QueryRequest("facets.centrality");

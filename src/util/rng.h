@@ -9,9 +9,9 @@
 namespace cfnet {
 
 /// SplitMix64 finalizer: a fast, statistically strong 64-bit bit mixer.
-/// Use for stateless per-index hashes (e.g. the dataflow engine's
-/// partition-count-independent sampling decisions). Mix64(0) == 0, so salt
-/// the input when zero inputs are possible.
+/// Use for stateless per-index hashes (e.g. CoDA's per-cell warm-start
+/// jitter, or retry backoff jitter keyed on the attempt). Mix64(0) == 0, so
+/// salt the input when zero inputs are possible.
 uint64_t Mix64(uint64_t x);
 
 /// Deterministic pseudo-random source (xoshiro256** seeded via SplitMix64)

@@ -3,13 +3,11 @@
 // promises it.
 
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "community/coda.h"
-#include "dataflow/dataset.h"
 #include "community/louvain.h"
 #include "community/sbm.h"
 #include "core/engagement_analysis.h"
@@ -133,38 +131,6 @@ TEST(DeterminismTest, DetectorsDeterministicPerSeed) {
   community::SbmResult sb = community::RunSbm(g);
   EXPECT_EQ(sa.investor_labels, sb.investor_labels);
   EXPECT_DOUBLE_EQ(sa.log_posterior, sb.log_posterior);
-}
-
-TEST(DeterminismTest, SampleIndependentOfPartitionCountAndThreads) {
-  // Dataset::Sample decides per element by hashing (seed, stable stream
-  // index), so the sampled set must be identical across partitionings,
-  // thread counts and morsel sizes.
-  std::vector<int64_t> data(50000);
-  std::iota(data.begin(), data.end(), 0);
-
-  auto sample_with = [&data](size_t threads, size_t partitions,
-                             size_t morsel) {
-    auto ctx = std::make_shared<dataflow::ExecutionContext>(threads);
-    ctx->set_morsel_size(morsel);
-    return dataflow::Dataset<int64_t>::FromVector(ctx, data, partitions)
-        .Sample(0.1, 77)
-        .Collect();
-  };
-
-  std::vector<int64_t> reference = sample_with(1, 1, 1024);
-  ASSERT_FALSE(reference.empty());
-  EXPECT_EQ(sample_with(4, 3, 512), reference);
-  EXPECT_EQ(sample_with(2, 16, 4096), reference);
-  EXPECT_EQ(sample_with(4, 7, 100), reference);
-
-  // The guarantee holds inside fused chains too: a 1:1 op upstream of the
-  // Sample preserves stream indices.
-  auto ctx = std::make_shared<dataflow::ExecutionContext>(3);
-  auto chained = dataflow::Dataset<int64_t>::FromVector(ctx, data, 5)
-                     .Map([](const int64_t& x) { return x; })
-                     .Sample(0.1, 77)
-                     .Collect();
-  EXPECT_EQ(chained, reference);
 }
 
 }  // namespace

@@ -590,12 +590,18 @@ TEST(PlatformIngestTest, TypedLoadersMatchDomPipeline) {
   auto inputs = platform.LoadInputs();
   ASSERT_TRUE(inputs.ok());
 
+  // Reference: every JSON shard of the directory parsed to a DOM, then
+  // decoded with T::FromJson.
   auto check_dir = [&](const std::string& dir, auto tag, const auto& typed) {
     using T = decltype(tag);
-    auto docs = platform.LoadSnapshotDataset(dir);
+    const MiniDfs& dfs = platform.dfs();
+    auto docs = dfs::ScanJsonLinesDom(
+        dfs, core::SplitSnapshotFiles(dfs.List(dir)).json);
     ASSERT_TRUE(docs.ok());
-    std::vector<T> dom =
-        docs->Map([](const json::Json& j) { return T::FromJson(j); }).Collect();
+    std::vector<T> dom;
+    for (const json::Json& j : Flatten(std::move(*docs))) {
+      dom.push_back(T::FromJson(j));
+    }
     ASSERT_EQ(typed.size(), dom.size()) << dir;
     for (size_t i = 0; i < dom.size(); ++i) ExpectEq(typed[i], dom[i], dir);
   };
